@@ -39,7 +39,6 @@ from .combinatorics import (
 )
 from .numerics import (
     LogWeight,
-    QuadratureSpec,
     awgn_expectation,
     binary_entropy,
     binomial_log_pmf,

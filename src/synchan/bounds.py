@@ -10,10 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .combinatorics import (
-    mean_pattern_log_weight,
-    single_insertion_log_weight,
-)
+from .combinatorics import mean_pattern_log_weights, single_insertion_log_weight
 from .numerics import (
     awgn_expectation,
     binary_entropy,
@@ -56,8 +53,8 @@ class ChannelParams:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
         if self.p_d + self.p_i > 1.0:
             raise ValueError(f"p_d + p_i must not exceed 1, got {self.p_d + self.p_i!r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
     @classmethod
     def deletion(cls, p_d: float) -> "ChannelParams":
@@ -130,11 +127,11 @@ def _pattern_gain(n: int, p_d: float) -> float:
     if p_d == 0.0 or p_d == 1.0:
         return 0.0
     lp = _binomial_log_pmf_vec(n, p_d)[1:]
-    js = np.arange(1, n + 1)
-    keep = lp >= lp.max() - _PMF_LOG2_WINDOW
-    pmf = np.exp2(lp[keep])
-    weights = [mean_pattern_log_weight(n, int(j)) for j in js[keep]]
-    return math.fsum(w * q for w, q in zip(weights, pmf)) / n
+    # the log-pmf is concave in j, so the kept terms form one window
+    kept = np.flatnonzero(lp >= lp.max() - _PMF_LOG2_WINDOW)
+    lo, hi = int(kept[0]), int(kept[-1])
+    weights = mean_pattern_log_weights(n, lo + 1, hi + 1)
+    return math.fsum(weights * np.exp2(lp[lo : hi + 1])) / n
 
 
 def _check_block_length(n: int, minimum: int = 1) -> None:
@@ -169,8 +166,7 @@ def deletion_bound(n: int, p_d: float) -> BoundResult:
 def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p deletion polynomial."""
     _check_block_length(n, 4)
-    w1 = mean_pattern_log_weight(n, 1)
-    w2 = mean_pattern_log_weight(n, 2)
+    w1, w2 = mean_pattern_log_weights(n, 1, 2).tolist()
     return (
         w1 - 1.0,
         (n - 1) / 2.0 * (w2 - 2.0 * w1),

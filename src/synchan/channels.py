@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .numerics import _check_probability
+
 __all__ = [
     "RngState",
     "simulate_deletion",
@@ -49,13 +51,6 @@ def _as_bits(bits: Sequence[int]) -> np.ndarray:
     if arr.size and arr.max() > 1:
         raise ValueError("bits must be 0 or 1")
     return arr
-
-
-def _check_probability(p: float, name: str) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-    return p
 
 
 def simulate_deletion(bits: Sequence[int], p_d: float, rng: RngState) -> np.ndarray:

@@ -2,9 +2,7 @@
 
 Subcommands: ``bound``, ``table``, ``sweep``, ``verify``, ``optimize``.
 CSV output is UTF-8, comma-separated, with a header row and '.' decimals;
-rates are printed with at least six significant digits.  The environment
-variable ``SYNCHAN_THREADS`` caps sweep parallelism (default 1); results are
-assembled in grid order regardless of the thread count.
+rates are printed with at least six significant digits.
 
 The SNR flag assumes unit-energy antipodal signalling with noise variance
 sigma^2, so SNR = 1/sigma^2 and --snr-db maps to sigma = 10^(-snr_db/20).
@@ -17,11 +15,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .bounds import ChannelParams, evaluate_bound, optimize_block_length
 from .reference_tables import CellDiff, table1_diffs, table2_diffs
@@ -40,23 +36,8 @@ _METHODS = {
 _SCOPES = ("properties", "oracle", "chains", "simulators")
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SYNCHAN_THREADS", "").strip()
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn: Callable, items: Sequence) -> list:
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _sigma_from_args(args) -> float:
+def _noise_flag(args) -> str | None:
+    """The one noise flag given, if any; more than one is an error."""
     given = [
         name
         for name in ("sigma", "snr_db", "noise_var")
@@ -64,11 +45,16 @@ def _sigma_from_args(args) -> float:
     ]
     if len(given) > 1:
         raise ValueError("pass at most one of --sigma, --snr-db, --noise-var")
-    if not given:
+    return given[0] if given else None
+
+
+def _sigma_from_args(args) -> float:
+    flag = _noise_flag(args)
+    if flag is None:
         return 0.0
-    if args.sigma is not None:
+    if flag == "sigma":
         return args.sigma
-    if args.noise_var is not None:
+    if flag == "noise_var":
         if args.noise_var < 0:
             raise ValueError("--noise-var must be nonnegative")
         return math.sqrt(args.noise_var)
@@ -172,10 +158,19 @@ def cmd_table(args) -> int:
     return 1 if bad else 0
 
 
+def _number(text: str, integer: bool) -> float:
+    value = float(text)
+    if integer and not value.is_integer():
+        raise ValueError(f"expected an integer, got {text.strip()!r}")
+    return value
+
+
 def _parse_axis(text: str | None, integer: bool = False) -> list | None:
     """Parse a comma list or a lo:hi:count:{lin,log} range specification.
 
     ``None`` (flag absent) maps to ``None``; an empty string is an empty axis.
+    With ``integer`` every number given must be an integer; the points of a
+    range are rounded to the nearest integer.
     """
     if text is None:
         return None
@@ -186,7 +181,7 @@ def _parse_axis(text: str | None, integer: bool = False) -> list | None:
         parts = text.split(":")
         if len(parts) not in (3, 4):
             raise ValueError(f"range must be lo:hi:count[:lin|log], got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = _number(parts[0], integer), _number(parts[1], integer), int(parts[2])
         spacing = parts[3] if len(parts) == 4 else "lin"
         if count < 1:
             raise ValueError("range count must be positive")
@@ -203,7 +198,7 @@ def _parse_axis(text: str | None, integer: bool = False) -> list | None:
         else:
             raise ValueError(f"unknown spacing {spacing!r}")
     else:
-        values = [float(v) for v in text.split(",")]
+        values = [_number(v, integer) for v in text.split(",")]
     return [int(round(v)) for v in values] if integer else values
 
 
@@ -217,7 +212,7 @@ def cmd_sweep(args) -> int:
     pd_axis = axis(args.pd, [0.0])
     pe_axis = axis(args.pe, [0.0])
     pi_axis = axis(args.pi, [0.0])
-    if args.snr_db is not None:
+    if _noise_flag(args) == "snr_db":
         sigma_axis = [10.0 ** (-db / 20.0) for db in axis(args.snr_db, [])]
     else:
         sigma_axis = axis(args.sigma, [0.0])
@@ -227,12 +222,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"--n is required for methods {needs_n}")
     grid = list(product(pd_axis, pe_axis, pi_axis, sigma_axis, n_axis))
 
-    def evaluate(point):
-        p_d, p_e, p_i, sigma, n = point
-        params = ChannelParams(p_d=p_d, p_e=p_e, p_i=p_i, sigma=sigma)
-        return [evaluate_bound(m, params, n).rate for m in internal]
-
-    rates = _parallel_map(evaluate, grid)
+    rates = [
+        [evaluate_bound(m, ChannelParams(p_d, p_e, p_i, sigma), n).rate for m in internal]
+        for p_d, p_e, p_i, sigma, n in grid
+    ]
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     try:
         writer = csv.writer(out)

@@ -8,8 +8,9 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
-from .numerics import _log_binomial, _log_binomial_vec
+from .numerics import LN2
 
 __all__ = [
     "RunLengthSequence",
@@ -20,6 +21,7 @@ __all__ = [
     "enumerate_deletion_patterns",
     "expected_run_count",
     "mean_pattern_log_weight",
+    "mean_pattern_log_weights",
     "single_insertion_log_weight",
     "single_insertion_log_weight_exact",
     "subsequence_weight",
@@ -175,8 +177,64 @@ def expected_run_count(l: int, n: int) -> float:
 # a float64 result; exactness for small n is unaffected (n - 1 < cut-off).
 _RUN_WEIGHT_FLOOR = 1e-30
 
+# W_j(n) by block length n, indexed by j; NaN marks a value not yet computed
+_WEIGHT_TABLES: dict[int, np.ndarray] = {}
 
-@lru_cache(maxsize=None)
+
+def _pattern_log_weights(n: int, js: np.ndarray) -> np.ndarray:
+    """W_j(n) for the given j, in one pass over run lengths l.
+
+    A run of length l receives j' of the j deletions with hypergeometric
+    probability C(l,j')C(n-l,j-j')/C(n,j); the expected number of such runs
+    is 2^(-l-1)(n-l+3).  Each row of the (j, j') arrays spans j' = 1..l
+    whatever the other rows are, so a value does not depend on which other
+    j are computed with it.
+    """
+    log_factorial = gammaln(np.arange(n + 1) + 1)
+
+    def log_binomial(a, b):
+        return (log_factorial[a] - log_factorial[b] - log_factorial[a - b]) / LN2
+
+    lcnj = log_binomial(n, js)
+    total = np.zeros(js.size)
+    for l in range(1, n):
+        weight = 2.0 ** (-l - 1) * (n - l + 3)
+        # log2 C(n, j) <= n bounds every term, so the cut-off is the same for all j
+        if weight * n < _RUN_WEIGHT_FLOOR:
+            break
+        jp = np.arange(1, l + 1)
+        outside = js[:, None] - jp
+        valid = (outside >= 0) & (outside <= n - l)
+        log_c = log_binomial(l, jp)
+        log_hyper = log_c + log_binomial(n - l, np.clip(outside, 0, n - l)) - lcnj[:, None]
+        hyper = np.where(valid, np.exp2(log_hyper), 0.0)
+        total += weight * (hyper * log_c).sum(axis=1)
+    return total + 2.0 ** (1 - n) * lcnj
+
+
+def mean_pattern_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
+    """W_j(n) for j = lo..hi as a read-only array; see :func:`mean_pattern_log_weight`.
+
+    Each W_j(n) is computed once per process: a table of n + 1 floats per
+    block length keeps every value computed so far, and a request computes
+    only the j it is missing.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= lo <= hi <= n:
+        raise ValueError(f"require 1 <= lo <= hi <= {n}, got lo={lo}, hi={hi}")
+    table = _WEIGHT_TABLES.get(n)
+    if table is None:
+        table = _WEIGHT_TABLES[n] = np.full(n + 1, np.nan)
+    window = table[lo : hi + 1]
+    missing = np.flatnonzero(np.isnan(window))
+    if missing.size:
+        window[missing] = _pattern_log_weights(n, missing + lo)
+    window = window.view()
+    window.flags.writeable = False
+    return window
+
+
 def mean_pattern_log_weight(n: int, j: int) -> float:
     """Average log2 multiplicity of per-run splittings of j deletions.
 
@@ -185,25 +243,7 @@ def mean_pattern_log_weight(n: int, j: int) -> float:
     coefficients describing how the deletions land on the runs.  Nonnegative
     and at most log2(C(n, j)).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if j < 1 or j > n:
-        raise ValueError(f"j must lie in [1, {n}], got {j}")
-    lcnj = _log_binomial(n, j)
-    terms = []
-    for l in range(1, n):
-        weight = 2.0 ** (-l - 1) * (n - l + 3)
-        if weight * max(lcnj, 1.0) < _RUN_WEIGHT_FLOOR:
-            break
-        jp = np.arange(1, min(j, l) + 1)
-        jp = jp[(j - jp) <= (n - l)]
-        if jp.size == 0:
-            continue
-        log_c = _log_binomial_vec(l, jp)
-        # hypergeometric factors C(l,j')C(n-l,j-j')/C(n,j), all <= 1
-        hyper = np.exp2(log_c + _log_binomial_vec(n - l, j - jp) - lcnj)
-        terms.append(weight * math.fsum(hyper * log_c))
-    return math.fsum(terms) + 2.0 ** (1 - n) * lcnj
+    return float(mean_pattern_log_weights(n, j, j)[0])
 
 
 def _single_insertion_sum(n: int, interior_coeff) -> float:

@@ -2,12 +2,26 @@
 
 These are deliberately written in the most direct way possible (string
 enumeration, integer counting) so they stay independent of the library code
-they check.
+they check.  ``run_python`` runs code in a fresh interpreter.
 """
 
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
+
+import synchan
+
+
+def run_python(*args, timeout=60):
+    """Run the interpreter with ``args``, importing the same synchan as the tests."""
+    env = dict(os.environ, PYTHONPATH=str(Path(synchan.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def all_bit_strings(n):

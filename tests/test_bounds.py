@@ -38,6 +38,13 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(sigma=-0.1)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError):
+            ChannelParams(sigma=sigma)
+        with pytest.raises(ValueError):
+            ChannelParams.deletion_awgn(0.1, sigma)
+
 
 class TestGallagerBound:
     def test_perfect_channel(self):

@@ -1,12 +1,13 @@
 import csv
 import json
-import subprocess
-import sys
 
+import numpy as np
 import pytest
 
 from synchan import cli
 from synchan.bounds import ChannelParams, evaluate_bound, gallager_bound
+
+from helpers import run_python
 
 
 def run_cli(capsys, *argv):
@@ -129,16 +130,22 @@ class TestSweepCommand:
         assert len(lines) == 1
         assert lines[0].startswith("p_d,p_e,p_i,sigma,snr_db,n,")
 
-    def test_thread_cap_keeps_grid_order(self, capsys, tmp_path, monkeypatch):
-        argv = [
-            "sweep", "--method", "insertion", "--pi", "0.01:0.2:8:lin", "--n", "4,8",
-        ]
-        code, serial, _ = run_cli(capsys, *argv)
-        assert code == 0
-        monkeypatch.setenv("SYNCHAN_THREADS", "4")
-        code, threaded, _ = run_cli(capsys, *argv)
-        assert code == 0
-        assert serial == threaded
+    def test_conflicting_noise_axes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--method", "del-awgn", "--pd", "0.1",
+            "--sigma", "0.5", "--snr-db", "10", "--n", "100",
+        )
+        assert code == 2
+        assert "at most one" in err
+        assert out == ""
+
+    def test_non_integer_block_length(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--method", "deletion", "--pd", "0.1", "--n", "4,3.6",
+        )
+        assert code == 2
+        assert "3.6" in err
+        assert out == ""
 
     def test_log_axis_parsing(self):
         axis = cli._parse_axis("1e-4:1e-1:4:log")
@@ -179,9 +186,11 @@ class TestVerifyCommand:
         assert (code_a, out_a) == (code_b, out_b)
 
     def test_injected_defect_is_caught(self, capsys, monkeypatch):
-        # mutate the pattern weight used by the deletion bound; the chain
+        # mutate the pattern weights used by the deletion bound; the chain
         # checks must go red
-        monkeypatch.setattr("synchan.bounds.mean_pattern_log_weight", lambda n, j: 5.0)
+        monkeypatch.setattr(
+            "synchan.bounds.mean_pattern_log_weights", lambda n, lo, hi: np.full(hi - lo + 1, 5.0)
+        )
         code, out, _ = run_cli(capsys, "verify", "--scope", "chains")
         assert code == 1
         assert "FAIL" in out
@@ -209,11 +218,7 @@ class TestOptimizeCommand:
 
 
 def test_console_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "synchan.cli", "bound", "--method", "gallager", "--pi", "0.1"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_python("-m", "synchan.cli", "bound", "--method", "gallager", "--pi", "0.1")
     assert result.returncode == 0
     assert "0.531" in result.stdout
 

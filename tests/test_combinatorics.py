@@ -1,10 +1,12 @@
 import math
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from synchan import combinatorics
 from synchan.combinatorics import (
     DeletionPattern,
     RunLengthSequence,
@@ -14,6 +16,7 @@ from synchan.combinatorics import (
     enumerate_deletion_patterns,
     expected_run_count,
     mean_pattern_log_weight,
+    mean_pattern_log_weights,
     single_insertion_log_weight,
     single_insertion_log_weight_exact,
     subsequence_weight,
@@ -24,10 +27,33 @@ from helpers import (
     brute_mean_pattern_log_weight,
     brute_single_insertion_log_weight,
     brute_subsequence_counts,
+    run_python,
     runs_of,
 )
 
 bits_of = lambda s: [int(c) for c in s]
+
+
+def mp_pattern_log_weight(n, j, digits=40):
+    """W_j(n) summed over run lengths l in mpmath, with the hypergeometric
+    terms of each l advanced by their ratio and a tail below 1e-45."""
+    with mpmath.workdps(digits):
+        total = mpmath.mpf(2) ** (1 - n) * mpmath.log(mpmath.binomial(n, j), 2)
+        for l in range(1, n):
+            runs = mpmath.mpf(2) ** (-l - 1) * (n - l + 3)
+            if runs * n < mpmath.mpf(10) ** -45:
+                break
+            first, last = max(1, j - (n - l)), min(j, l)
+            if first > last:
+                continue
+            hyper = mpmath.binomial(l, first) * mpmath.binomial(n - l, j - first)
+            hyper /= mpmath.binomial(n, j)
+            inner = mpmath.mpf(0)
+            for jp in range(first, last + 1):
+                inner += hyper * mpmath.log(mpmath.binomial(l, jp), 2)
+                hyper *= mpmath.mpf((l - jp) * (j - jp)) / ((jp + 1) * (n - l - j + jp + 1))
+            total += runs * inner
+        return float(total)
 
 
 class TestRunLengthCoding:
@@ -167,14 +193,51 @@ class TestMeanPatternLogWeight:
         assert gap_2000 == pytest.approx(gap_1000 / 2, rel=0.1)
 
     def test_reproducible_to_the_bit(self):
-        plain = mean_pattern_log_weight.__wrapped__
-        assert plain(500, 7) == plain(500, 7) == mean_pattern_log_weight(500, 7)
+        # a fresh process computes W_7(500) alone, without any table entry
+        script = "from synchan.combinatorics import mean_pattern_log_weight as w; print(repr(w(500, 7)))"
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) == mean_pattern_log_weight(500, 7) == mean_pattern_log_weight(500, 7)
+
+    @pytest.mark.parametrize(
+        "n, js",
+        [
+            # the Table I pmf windows at n = 1000 (p_d from 1e-5 to 0.1)
+            (1000, (1, 2, 10, 50, 100, 130)),
+            # the large-n pmf windows (p_d from 0.02 to 0.25)
+            (10000, (200, 1100, 2500)),
+        ],
+    )
+    def test_against_mpmath(self, n, js):
+        for j in js:
+            reference = mp_pattern_log_weight(n, j)
+            assert mean_pattern_log_weight(n, j) == pytest.approx(reference, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_independent_of_the_request_window(self, n):
+        # a fresh table per request: nothing is shared between the windows
+        cases = [(lo, min(n, lo + width)) for lo in range(1, n + 1, max(1, n // 7)) for width in (0, 3, 40)]
+        wide = []
+        for lo, hi in [(1, n)] + cases:
+            combinatorics._WEIGHT_TABLES.clear()
+            wide.append((lo, hi, mean_pattern_log_weights(n, lo, hi).copy()))
+        full = wide[0][2]
+        for lo, hi, values in wide[1:]:
+            assert np.array_equal(values, full[lo - 1 : hi])
+
+    def test_window_is_read_only(self):
+        values = mean_pattern_log_weights(20, 3, 6)
+        assert values.shape == (4,)
+        with pytest.raises(ValueError):
+            values[0] = 0.0
 
     def test_domain(self):
         with pytest.raises(ValueError):
             mean_pattern_log_weight(5, 0)
         with pytest.raises(ValueError):
             mean_pattern_log_weight(5, 6)
+        with pytest.raises(ValueError):
+            mean_pattern_log_weights(5, 4, 3)
 
 
 class TestSingleInsertionLogWeight:

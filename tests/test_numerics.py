@@ -1,13 +1,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from synchan.numerics import (
     LogWeight,
-    QuadratureSpec,
     awgn_expectation,
     binary_entropy,
     binomial_log_pmf,
@@ -16,6 +16,8 @@ from synchan.numerics import (
     log_sum,
 )
 from synchan.oracle import exact_block_entropy
+
+from helpers import run_python
 
 
 class TestBinaryEntropy:
@@ -163,17 +165,34 @@ class TestAwgnExpectation:
         stderr = float(samples.std(ddof=1) / math.sqrt(samples.size))
         assert abs(awgn_expectation(sigma) - estimate) <= 3.0 * stderr
 
+    @pytest.mark.parametrize("sigma", [0.20639685545794598, 0.25, 0.5, 0.8])
+    def test_against_mpmath(self, sigma):
+        # 30-digit tanh-sinh quadrature, split at the kink y = 0 and around the mode
+        with mpmath.workdps(30):
+            s = mpmath.mpf(sigma)
+
+            def integrand(y):
+                return mpmath.npdf(y, 1, s) * mpmath.log(1 + mpmath.exp(-2 * y / s**2), 2)
+
+            reference = mpmath.quad(integrand, [-mpmath.inf, 1 - 20 * s, 0, 1, 1 + 20 * s, mpmath.inf])
+        assert abs(awgn_expectation(sigma) - float(reference)) <= 1e-12
+
     def test_domain(self):
         with pytest.raises(ValueError):
             awgn_expectation(0.0)
         with pytest.raises(ValueError):
             awgn_expectation(-1.0)
 
-
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(node_count=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(tolerance=0.0)
-    spec = QuadratureSpec()
-    assert spec.node_count == 96 and spec.tolerance == 1e-10
+    def test_non_finite_sigma_is_rejected_promptly(self):
+        # in a child process, so that a hang fails the test instead of stalling the suite
+        script = (
+            "from synchan.numerics import awgn_expectation\n"
+            "for sigma in (float('inf'), float('nan')):\n"
+            "    try:\n"
+            "        awgn_expectation(sigma)\n"
+            "    except ValueError:\n"
+            "        continue\n"
+            "    raise SystemExit(f'accepted sigma={sigma}')\n"
+        )
+        result = run_python("-c", script)
+        assert result.returncode == 0, result.stderr
