@@ -9,6 +9,7 @@ simulator documents the order in which it consumes random draws.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -92,8 +93,8 @@ def simulate_deletion_awgn(
 
     Consumes the deletion draws first, then one Gaussian draw per survivor.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma!r}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     survivors = simulate_deletion(bits, p_d, rng)
     symbols = 1.0 - 2.0 * survivors.astype(np.float64)
     return symbols + sigma * rng.generator.standard_normal(symbols.size)

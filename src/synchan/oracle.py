@@ -148,48 +148,72 @@ class EntropyReport:
 # deletion-side enumeration
 # ---------------------------------------------------------------------------
 
-_POPCOUNT16 = None
+# entries per array in one chunk of inputs (512 KiB of int64 or float64)
+_CHUNK_ELEMENTS = 1 << 16
 
 
-def _popcount16() -> np.ndarray:
-    global _POPCOUNT16
-    if _POPCOUNT16 is None:
-        a = np.arange(1 << 16, dtype=np.uint32)
-        pc = np.zeros(1 << 16, dtype=np.uint8)
-        while a.any():
-            pc += (a & 1).astype(np.uint8)
-            a >>= 1
-        _POPCOUNT16 = pc
-    return _POPCOUNT16
+def _survivor_counts(n: int, m: int):
+    """Yield ``(inputs, S)`` over chunks of the 2^n inputs.
 
-
-@lru_cache(maxsize=4)
-def _survivor_tables(n: int):
-    """Per-level mask tables for vectorized subsequence extraction."""
+    ``S[i, y]`` counts the size-m keep sets of input ``inputs[i]`` whose
+    survivor string is ``y``.  Codes are little-endian: bit k of an input or
+    an output is its k-th symbol.
+    """
     masks = np.arange(1 << n, dtype=np.int64)
-    pc = _popcount16()[masks]
-    top = np.zeros(1 << n, dtype=np.int64)
-    for bit in range(n):
-        top[masks >= (1 << bit)] = bit
-    rest = masks & ~(np.int64(1) << top)
-    levels = [np.nonzero(pc == level)[0] for level in range(n + 1)]
-    return levels, rest, top
+    masks = masks[np.bitwise_count(masks) == m]
+    # (C(n, m), m): the kept positions of each keep set, ascending
+    keep = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(masks.size, m)
+    rows = max(1, _CHUNK_ELEMENTS // max(masks.size, 1 << m))
+    for start in range(0, 1 << n, rows):
+        inputs = np.arange(start, min(start + rows, 1 << n), dtype=np.int64)
+        # (row within the chunk, survivor code) as one bincount index
+        index = np.arange(inputs.size, dtype=np.int64)[:, None] << m
+        for k in range(m):
+            index = index | (((inputs[:, None] >> keep[:, k]) & 1) << k)
+        counts = np.bincount(index.ravel(), minlength=inputs.size << m)
+        yield inputs, counts.reshape(inputs.size, 1 << m)
 
 
-def _input_survivor_codes(x: int, n: int) -> list[np.ndarray]:
-    """codes[m][i] = survivor string (as little-endian int) of the i-th size-m keep set."""
-    levels, rest, top = _survivor_tables(n)
-    y = np.zeros(1 << n, dtype=np.int64)
-    for level in range(1, n + 1):
-        masks = levels[level]
-        y[masks] = y[rest[masks]] | (((x >> top[masks]) & 1) << (level - 1))
-    return [y[levels[m]] for m in range(n + 1)]
+def _bsc(counts: np.ndarray, m: int, p_e: float) -> np.ndarray:
+    """Push each row, a law over {0,1}^m, through a BSC: one 2x2 step per bit.
+
+    Every entry stays a sum of nonnegative terms, so unlike a Hadamard
+    factorisation no small probability can round below zero.
+    """
+    law = counts.astype(np.float64)
+    for k in range(m if p_e else 0):
+        pairs = law.reshape(law.shape[0], -1, 2, 1 << k)
+        a = pairs[:, :, 0, :].copy()
+        b = pairs[:, :, 1, :]
+        pairs[:, :, 0, :] = (1.0 - p_e) * a + p_e * b
+        pairs[:, :, 1, :] = p_e * a + (1.0 - p_e) * b
+    return law
 
 
-def _input_deletion_weights(x: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per length m: (unique survivor codes, integer multiplicities) for input x."""
-    per_level = _input_survivor_codes(x, n)
-    return [np.unique(codes, return_counts=True) for codes in per_level]
+def _slog(law: np.ndarray, axis=None):
+    """Sum of p log2 p over the positive entries of ``law``."""
+    return (law * np.log2(law, out=np.zeros_like(law), where=law > 0)).sum(axis=axis)
+
+
+@lru_cache(maxsize=32)
+def _deletion_sums(n: int, p_e: float) -> np.ndarray:
+    """The p_d-free part of the deletion-substitution entropies, shape (4, n + 1).
+
+    For the per-input laws S = BSC(survivor counts) of length m and their
+    aggregate T = sum_x S, column m holds sum_x sum_y S log2 S, sum_x sum_y S,
+    sum_y T log2 T and sum_y T.  A length factor f > 0 then turns
+    sum f S log2(f S) into f (sum S log2 S + log2 f sum S).
+    """
+    sums = np.zeros((4, n + 1))
+    for m in range(n + 1):
+        slog, mass, aggregate = [], [], np.zeros(1 << m)
+        for _, counts in _survivor_counts(n, m):
+            law = _bsc(counts, m, p_e)
+            slog.extend(_slog(law, axis=1).tolist())
+            mass.extend(law.sum(axis=1).tolist())
+            aggregate += law.sum(axis=0)
+        sums[:, m] = math.fsum(slog), math.fsum(mass), _slog(aggregate), math.fsum(aggregate)
+    return sums
 
 
 @lru_cache(maxsize=2)
@@ -202,11 +226,9 @@ def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     element of entry m equalling 2^(n-m) * C(n, n-m).
     """
     _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
-    agg = [np.zeros(1 << m, dtype=np.int64) for m in range(n + 1)]
-    for x in range(1 << n):
-        for m, (codes, counts) in enumerate(_input_deletion_weights(x, n)):
-            np.add.at(agg[m], codes, counts)
-    return tuple(agg)
+    return tuple(
+        sum(counts.sum(axis=0) for _, counts in _survivor_counts(n, m)) for m in range(n + 1)
+    )
 
 
 def _bits_le(code: int, m: int) -> tuple[int, ...]:
@@ -226,39 +248,24 @@ def exact_deletion_law(
     if not 0 <= p_d <= 1:
         raise ValueError(f"p_d must lie in [0, 1], got {p_d!r}")
     one = Fraction(1) if exact else 1.0
-    q = one - p_d
-
-    def length_factor(m: int):
-        return p_d ** (n - m) * q**m
-
-    marginal: dict[tuple[int, ...], float | Fraction] = {}
-    conditionals: dict[tuple[int, ...], ExactDistribution] = {}
     denom = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
-    for agg_m, agg in enumerate(deletion_output_multiplicities(n)):
-        factor = length_factor(agg_m) * denom
+    marginal: dict[tuple[int, ...], float | Fraction] = {}
+    supports: list[dict] = [{} for _ in range(1 << n)] if include_conditionals else []
+    for m, agg in enumerate(deletion_output_multiplicities(n)):
+        factor = p_d ** (n - m) * (one - p_d) ** m
         if factor == 0:
             continue
-        for code in np.nonzero(agg)[0]:
-            marginal[_bits_le(int(code), agg_m)] = int(agg[int(code)]) * factor
-    if include_conditionals:
-        for x in range(1 << n):
-            support: dict[tuple[int, ...], float | Fraction] = {}
-            for m, (codes, counts) in enumerate(_input_deletion_weights(x, n)):
-                factor = length_factor(m)
-                if factor == 0:
-                    continue
-                for code, count in zip(codes, counts):
-                    support[_bits_le(int(code), m)] = int(count) * factor
-            conditionals[_bits_le(x, n)] = ExactDistribution(support, exact)
+        for code in np.nonzero(agg)[0].tolist():
+            marginal[_bits_le(code, m)] = int(agg[code]) * (factor * denom)
+        if include_conditionals:
+            for inputs, counts in _survivor_counts(n, m):
+                rows, codes = np.nonzero(counts)
+                for x, code, count in zip(
+                    inputs[rows].tolist(), codes.tolist(), counts[rows, codes].tolist()
+                ):
+                    supports[x][_bits_le(code, m)] = count * factor
+    conditionals = {_bits_le(x, n): ExactDistribution(s, exact) for x, s in enumerate(supports)}
     return ExactDistribution(marginal, exact), conditionals
-
-
-def _bsc_spread(law_codes: np.ndarray, weights: np.ndarray, m: int, p_e: float) -> np.ndarray:
-    """Push a weighted code set through a BSC: dense law over all 2^m outputs."""
-    pc = _popcount16()
-    ham = pc[np.bitwise_xor.outer(law_codes, np.arange(1 << m, dtype=np.int64))]
-    flip_pow = p_e ** np.arange(m + 1) * (1.0 - p_e) ** (m - np.arange(m + 1))
-    return weights @ flip_pow[ham]
 
 
 def exact_deletion_substitution_entropies(n: int, p_d: float, p_e: float) -> EntropyReport:
@@ -266,26 +273,18 @@ def exact_deletion_substitution_entropies(n: int, p_d: float, p_e: float) -> Ent
     _check_limit(n, MAX_DELETION_ENTROPY_N, "deletion-substitution enumeration")
     if not 0 <= p_d <= 1 or not 0 <= p_e <= 1:
         raise ValueError("probabilities must lie in [0, 1]")
-    marginals = [np.zeros(1 << m) for m in range(n + 1)]
+    cond_slog, cond_mass, out_slog, out_mass = _deletion_sums(n, float(p_e))
     weight = 1.0 / (1 << n)
-    cond_entropy_terms = []
-    for x in range(1 << n):
-        h_x_terms = []
-        for m, (codes, counts) in enumerate(_input_deletion_weights(x, n)):
-            pdel = counts * p_d ** (n - m) * (1.0 - p_d) ** m
-            if p_e == 0.0:
-                law = np.zeros(1 << m)
-                law[codes] = pdel
-            else:
-                law = _bsc_spread(codes, pdel, m, p_e)
-            marginals[m] += law * weight
-            positive = law[law > 0]
-            h_x_terms.append(float(np.sum(positive * np.log2(positive))))
-        cond_entropy_terms.append(-math.fsum(h_x_terms))
-    conditional = math.fsum(cond_entropy_terms) * weight
-    output = -math.fsum(
-        float(np.sum(arr[arr > 0] * np.log2(arr[arr > 0]))) for arr in marginals
-    )
+    cond_terms, out_terms = [], []
+    for m in range(n + 1):
+        factor = p_d ** (n - m) * (1.0 - p_d) ** m
+        if factor > 0:
+            cond_terms.append(factor * (cond_slog[m] + math.log2(factor) * cond_mass[m]))
+        factor *= weight
+        if factor > 0:
+            out_terms.append(factor * (out_slog[m] + math.log2(factor) * out_mass[m]))
+    conditional = -math.fsum(cond_terms) * weight
+    output = -math.fsum(out_terms)
     mutual = output - conditional
     h_t = block_entropy(n, p_d)
     bound = deletion_substitution_bound(n, p_d, p_e)
@@ -328,7 +327,7 @@ def _insertion_count_law(bits: Sequence[int]) -> list[np.ndarray]:
     return [laws[n + j] for j in range(n + 1)]
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=MAX_INSERTION_N)
 def _insertion_tables(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """(mean of sum_y c_j(x,y) log2 c_j(x,y) over x, aggregate counts per length)."""
     _check_limit(n, MAX_INSERTION_N, "insertion enumeration")

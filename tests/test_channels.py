@@ -170,6 +170,13 @@ class TestDeletionAwgn:
 
         assert stats.kstest(received, mixture_cdf).pvalue >= SIGNIFICANCE
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -0.5])
+    def test_invalid_sigma_rejected_before_any_draw(self, sigma):
+        rng = RngState(4)
+        with pytest.raises(ValueError, match="sigma"):
+            simulate_deletion_awgn([0, 1, 1], 0.0, sigma, rng)
+        assert rng.generator.random() == RngState(4).generator.random()
+
 
 class TestGallagerInsertion:
     def test_no_events(self):

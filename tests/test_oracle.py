@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
 import pytest
+from helpers import all_bit_strings, brute_subsequence_counts
 
+from synchan import oracle
 from synchan.combinatorics import encode, subsequence_weight
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
@@ -22,6 +25,33 @@ from synchan.oracle import (
     mc_deletion_awgn_pattern_entropy,
     single_insertion_law,
 )
+from synchan.verification import run_oracle_checks
+
+
+def brute_deletion_substitution_entropies(n, p_d, p_e):
+    """(H(Y'), H(Y'|X), I(X;Y')) from dict laws over every deletion set and every output.
+
+    Each size-m keep set of x is pushed through the BSC by the explicit
+    Hamming distance from its survivor string to each of the 2^m outputs.
+    """
+    marginal = {}
+    conditional = 0.0
+    for x in product((0, 1), repeat=n):
+        law = {}
+        for m in range(n + 1):
+            p_del = p_d ** (n - m) * (1 - p_d) ** m
+            for keep in combinations(range(n), m):
+                survivor = [x[i] for i in keep]
+                for y in product((0, 1), repeat=m):
+                    d = sum(a != b for a, b in zip(survivor, y))
+                    prob = p_del * p_e**d * (1 - p_e) ** (m - d)
+                    if prob > 0:
+                        law[y] = law.get(y, 0.0) + prob
+        conditional -= math.fsum(p * math.log2(p) for p in law.values()) / 2**n
+        for y, prob in law.items():
+            marginal[y] = marginal.get(y, 0.0) + prob / 2**n
+    output = -math.fsum(p * math.log2(p) for p in marginal.values())
+    return output, conditional, output - conditional
 
 
 class TestExactDeletionLaw:
@@ -53,6 +83,17 @@ class TestExactDeletionLaw:
             expected = subsequence_weight(x, y) * p_d ** (7 - len(y)) * (1 - p_d) ** len(y)
             assert prob == pytest.approx(expected, rel=1e-12)
 
+    def test_every_conditional_matches_brute_force(self):
+        n, p_d = 5, Fraction(1, 7)
+        _, conditionals = exact_deletion_law(n, p_d)
+        assert list(conditionals) == list(all_bit_strings(n))
+        for x, law in conditionals.items():
+            expected = {
+                y: count * p_d ** (n - len(y)) * (1 - p_d) ** len(y)
+                for y, count in brute_subsequence_counts(x).items()
+            }
+            assert law.support == expected
+
     def test_marginal_uniform_within_each_length(self):
         n, p_d = 6, 0.22
         marginal, _ = exact_deletion_law(n, p_d, include_conditionals=False)
@@ -69,10 +110,11 @@ class TestExactDeletionLaw:
 
 
 class TestPerLengthUniformity:
-    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_deletion_multiplicities(self, n):
         for m, agg in enumerate(deletion_output_multiplicities(n)):
             expected = (1 << (n - m)) * comb(n, n - m)
+            assert agg.dtype == np.int64 and agg.shape == (1 << m,)
             assert np.all(agg == expected)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -121,6 +163,25 @@ class TestDeletionSubstitutionEntropies:
         with pytest.raises(OracleResourceError):
             exact_deletion_substitution_entropies(13, 0.1, 0.0)
 
+    @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("p_d", [0.0, 0.1, 1.0])
+    def test_matches_brute_force(self, p_d, p_e):
+        for n in (1, 2, 4, 6):
+            report = exact_deletion_substitution_entropies(n, p_d, p_e)
+            expected = brute_deletion_substitution_entropies(n, p_d, p_e)
+            got = (report.output_entropy, report.conditional_entropy, report.mutual_information)
+            assert got == pytest.approx(expected, rel=0, abs=1e-12)
+
+    def test_report_independent_of_cache_state(self):
+        oracle._deletion_sums.cache_clear()
+        cold = exact_deletion_substitution_entropies(9, 0.1, 0.05)
+        oracle._deletion_sums.cache_clear()
+        for n in (3, 9):
+            for p_d in (0.01, 0.3):
+                for p_e in (0.0, 0.05):
+                    exact_deletion_substitution_entropies(n, p_d, p_e)
+        assert exact_deletion_substitution_entropies(9, 0.1, 0.05) == cold
+
 
 class TestInsertionEntropies:
     def test_output_entropy_identity(self):
@@ -161,6 +222,12 @@ class TestInsertionEntropies:
     def test_resource_guard(self):
         with pytest.raises(OracleResourceError):
             exact_insertion_entropies(10, 0.1)
+
+    def test_tables_built_once_per_length(self):
+        # the oracle scope reads each length's table twice: entropies, then uniformity
+        oracle._insertion_tables.cache_clear()
+        run_oracle_checks(deletion_n=[], insertion_n=[3, 6, 9])
+        assert oracle._insertion_tables.cache_info().misses == 3
 
 
 class TestSingleInsertionLaw:
