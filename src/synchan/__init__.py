@@ -25,10 +25,7 @@ from .channels import (
     simulate_gallager_insertion,
 )
 from .combinatorics import (
-    DeletionPattern,
     RunLengthSequence,
-    apply_deletion_pattern,
-    decode,
     encode,
     enumerate_deletion_patterns,
     expected_run_count,
@@ -38,24 +35,18 @@ from .combinatorics import (
     subsequence_weight,
 )
 from .numerics import (
-    LogWeight,
     awgn_expectation,
     binary_entropy,
-    binomial_log_pmf,
     block_entropy,
-    log_binomial,
-    log_sum,
 )
 from .oracle import (
     EntropyReport,
     ExactDistribution,
-    bound_chain_check,
     exact_block_entropy,
     exact_deletion_law,
     exact_deletion_substitution_entropies,
     exact_insertion_entropies,
     mc_awgn_entropy_check,
-    single_insertion_law,
 )
 
 __version__ = "0.1.0"

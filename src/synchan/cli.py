@@ -248,6 +248,8 @@ def cmd_verify(args) -> int:
     scopes = args.scope or ["all"]
     if "all" in scopes:
         scopes = list(_SCOPES)
+    if not 0.0 < args.mc_samples < math.inf:
+        raise ValueError(f"--mc-samples must be positive and finite, got {args.mc_samples!r}")
     scale = args.mc_samples / 1_000_000.0
     results = run_scopes(scopes, seed=args.seed, mc_scale=scale)
     failures: list[str] = []

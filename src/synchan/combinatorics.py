@@ -8,16 +8,12 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
-from .numerics import LN2
+from .numerics import _log2_binomial, _log_factorials
 
 __all__ = [
     "RunLengthSequence",
-    "DeletionPattern",
     "encode",
-    "decode",
-    "apply_deletion_pattern",
     "enumerate_deletion_patterns",
     "expected_run_count",
     "mean_pattern_log_weight",
@@ -32,8 +28,8 @@ __all__ = [
 class RunLengthSequence:
     """A binary sequence as (b; n_1, ..., n_K): first-run symbol plus run lengths.
 
-    ``run_lengths`` is empty only for the empty sequence, which arises as the
-    output of a full deletion; ``encode`` never produces it.
+    ``run_lengths`` is empty only for the empty sequence, which ``encode``
+    never produces.
     """
 
     first_bit: int
@@ -63,41 +59,9 @@ class RunLengthSequence:
         lengths.append(count)
         return cls(bits[0], tuple(lengths))
 
-    def bits(self) -> tuple[int, ...]:
-        out: list[int] = []
-        bit = self.first_bit
-        for r in self.run_lengths:
-            out.extend([bit] * r)
-            bit ^= 1
-        return tuple(out)
-
     @property
     def length(self) -> int:
         return sum(self.run_lengths)
-
-    @property
-    def run_count(self) -> int:
-        return len(self.run_lengths)
-
-    @property
-    def unit_run_count(self) -> int:
-        """Number of runs of length one."""
-        return sum(1 for r in self.run_lengths if r == 1)
-
-
-@dataclass(frozen=True)
-class DeletionPattern:
-    """Per-run deletion counts (d_1, ..., d_K)."""
-
-    per_run_deletions: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(d < 0 for d in self.per_run_deletions):
-            raise ValueError(f"deletion counts must be nonnegative, got {self.per_run_deletions!r}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.per_run_deletions)
 
 
 def encode(bits: Sequence[int]) -> RunLengthSequence:
@@ -105,39 +69,8 @@ def encode(bits: Sequence[int]) -> RunLengthSequence:
     return RunLengthSequence.from_bits(bits)
 
 
-def decode(rls: RunLengthSequence) -> tuple[int, ...]:
-    """Expand a run-length sequence back to bits; inverse of :func:`encode`."""
-    return rls.bits()
-
-
-def apply_deletion_pattern(x: RunLengthSequence, pattern: DeletionPattern) -> RunLengthSequence:
-    """Delete ``pattern[k]`` symbols from run k and re-normalize.
-
-    Emptied runs are dropped and adjacent equal-symbol runs coalesce, so the
-    result is a valid run-length sequence of length ``x.length - pattern.total``.
-    """
-    d = pattern.per_run_deletions
-    if len(d) != x.run_count:
-        raise ValueError(f"pattern arity {len(d)} does not match run count {x.run_count}")
-    if any(dk > nk for dk, nk in zip(d, x.run_lengths)):
-        raise ValueError("cannot delete more symbols than a run holds")
-    merged: list[tuple[int, int]] = []
-    bit = x.first_bit
-    for nk, dk in zip(x.run_lengths, d):
-        survive = nk - dk
-        if survive > 0:
-            if merged and merged[-1][0] == bit:
-                merged[-1] = (bit, merged[-1][1] + survive)
-            else:
-                merged.append((bit, survive))
-        bit ^= 1
-    if not merged:
-        return RunLengthSequence(0, ())
-    return RunLengthSequence(merged[0][0], tuple(r for _, r in merged))
-
-
-def enumerate_deletion_patterns(runs: Sequence[int], d: int) -> Iterator[DeletionPattern]:
-    """Yield every per-run deletion pattern with 0 <= d_k <= n_k summing to d."""
+def enumerate_deletion_patterns(runs: Sequence[int], d: int) -> Iterator[tuple[int, ...]]:
+    """Yield every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, summing to d."""
     runs = tuple(runs)
     if d < 0 or d > sum(runs):
         raise ValueError(f"d must lie in [0, {sum(runs)}], got {d}")
@@ -153,8 +86,7 @@ def enumerate_deletion_patterns(runs: Sequence[int], d: int) -> Iterator[Deletio
         for dk in range(lo, hi + 1):
             yield from rec(k + 1, remaining - dk, prefix + (dk,))
 
-    for p in rec(0, d, ()):
-        yield DeletionPattern(p)
+    yield from rec(0, d, ())
 
 
 def expected_run_count(l: int, n: int) -> float:
@@ -177,8 +109,9 @@ def expected_run_count(l: int, n: int) -> float:
 # a float64 result; exactness for small n is unaffected (n - 1 < cut-off).
 _RUN_WEIGHT_FLOOR = 1e-30
 
-# W_j(n) by block length n, indexed by j; NaN marks a value not yet computed
-_WEIGHT_TABLES: dict[int, np.ndarray] = {}
+# W_j(n) by block length n as (lo, values): values[k] is W_{lo+k}(n), over the
+# span of j requested so far; NaN marks a value not yet computed
+_WEIGHT_TABLES: dict[int, tuple[int, np.ndarray]] = {}
 
 
 def _pattern_log_weights(n: int, js: np.ndarray) -> np.ndarray:
@@ -186,47 +119,51 @@ def _pattern_log_weights(n: int, js: np.ndarray) -> np.ndarray:
 
     A run of length l receives j' of the j deletions with hypergeometric
     probability C(l,j')C(n-l,j-j')/C(n,j); the expected number of such runs
-    is 2^(-l-1)(n-l+3).  Each row of the (j, j') arrays spans j' = 1..l
-    whatever the other rows are, so a value does not depend on which other
-    j are computed with it.
+    is :func:`expected_run_count`.  Each row of the (j, j') arrays spans
+    j' = 1..l whatever the other rows are, so a value does not depend on
+    which other j are computed with it.
     """
-    log_factorial = gammaln(np.arange(n + 1) + 1)
-
-    def log_binomial(a, b):
-        return (log_factorial[a] - log_factorial[b] - log_factorial[a - b]) / LN2
-
-    lcnj = log_binomial(n, js)
+    log_factorials = _log_factorials(n)
+    lcnj = _log2_binomial(log_factorials, n, js)
     total = np.zeros(js.size)
     for l in range(1, n):
-        weight = 2.0 ** (-l - 1) * (n - l + 3)
+        weight = expected_run_count(l, n)
         # log2 C(n, j) <= n bounds every term, so the cut-off is the same for all j
         if weight * n < _RUN_WEIGHT_FLOOR:
             break
         jp = np.arange(1, l + 1)
         outside = js[:, None] - jp
         valid = (outside >= 0) & (outside <= n - l)
-        log_c = log_binomial(l, jp)
-        log_hyper = log_c + log_binomial(n - l, np.clip(outside, 0, n - l)) - lcnj[:, None]
+        log_c = _log2_binomial(log_factorials, l, jp)
+        log_hyper = (
+            log_c
+            + _log2_binomial(log_factorials, n - l, np.clip(outside, 0, n - l))
+            - lcnj[:, None]
+        )
         hyper = np.where(valid, np.exp2(log_hyper), 0.0)
         total += weight * (hyper * log_c).sum(axis=1)
-    return total + 2.0 ** (1 - n) * lcnj
+    return total + expected_run_count(n, n) * lcnj
 
 
 def mean_pattern_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
     """W_j(n) for j = lo..hi as a read-only array; see :func:`mean_pattern_log_weight`.
 
-    Each W_j(n) is computed once per process: a table of n + 1 floats per
-    block length keeps every value computed so far, and a request computes
-    only the j it is missing.
+    Each W_j(n) is computed once per process: a table per block length keeps
+    every value computed so far over the span of j requested so far, and a
+    request computes only the j it is missing.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"require 1 <= lo <= hi <= {n}, got lo={lo}, hi={hi}")
-    table = _WEIGHT_TABLES.get(n)
-    if table is None:
-        table = _WEIGHT_TABLES[n] = np.full(n + 1, np.nan)
-    window = table[lo : hi + 1]
+    start, table = _WEIGHT_TABLES.get(n, (lo, np.empty(0)))
+    first, last = min(lo, start), max(hi, start + table.size - 1)
+    if last - first + 1 > table.size:
+        grown = np.full(last - first + 1, np.nan)
+        grown[start - first : start - first + table.size] = table
+        start, table = first, grown
+        _WEIGHT_TABLES[n] = start, table
+    window = table[lo - start : hi - start + 1]
     missing = np.flatnonzero(np.isnan(window))
     if missing.size:
         window[missing] = _pattern_log_weights(n, missing + lo)

@@ -1,4 +1,4 @@
-"""Stable scalar building blocks: entropies, log-domain binomials, Gaussian expectations.
+"""Stable building blocks: entropies, the binomial log-pmf, Gaussian expectations.
 
 All logarithms are base 2 and all rates are in bits per channel use.  The
 convention 0 * log(0) = 0 is applied uniformly.
@@ -7,9 +7,7 @@ convention 0 * log(0) = 0 is applied uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 from scipy.special import gammaln
@@ -17,49 +15,10 @@ from scipy.special import gammaln
 LN2 = math.log(2.0)
 
 __all__ = [
-    "LogWeight",
     "binary_entropy",
-    "log_binomial",
-    "binomial_log_pmf",
     "block_entropy",
     "awgn_expectation",
-    "log_sum",
 ]
-
-
-@dataclass(frozen=True)
-class LogWeight:
-    """Base-2 logarithm of a nonnegative quantity, with an exact-zero state.
-
-    ``log2 = -inf`` encodes an exactly-zero weight; any finite ``log2``
-    exponentiates to a strictly positive value.  NaN and +inf are rejected.
-    """
-
-    log2: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.log2) or self.log2 == math.inf:
-            raise ValueError(f"invalid log-weight {self.log2!r}")
-
-    @classmethod
-    def zero(cls) -> "LogWeight":
-        return cls(-math.inf)
-
-    @classmethod
-    def of(cls, value: float) -> "LogWeight":
-        """Log-weight of a plain nonnegative value."""
-        if value < 0:
-            raise ValueError(f"negative weight {value!r}")
-        return cls(-math.inf) if value == 0 else cls(math.log2(value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log2 == -math.inf
-
-    @property
-    def value(self) -> float:
-        """The represented quantity, exp2(log2); exactly 0.0 for the zero state."""
-        return 0.0 if self.is_zero else 2.0 ** self.log2
 
 
 def _check_probability(p: float, name: str = "p") -> float:
@@ -77,37 +36,20 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
-def log_binomial(n: int, k: int) -> LogWeight:
-    """log2 of the binomial coefficient C(n, k) via log-gamma."""
-    if k < 0 or k > n:
-        raise ValueError(f"require 0 <= k <= n, got n={n}, k={k}")
-    return LogWeight(_log_binomial(n, k))
+def _log_factorials(n: int) -> np.ndarray:
+    """ln k! for k = 0..n: the table :func:`_log2_binomial` reads."""
+    return gammaln(np.arange(n + 1) + 1)
 
 
-def _log_binomial(n: int, k: int) -> float:
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) / LN2
-
-
-def _log_binomial_vec(n: int, k: np.ndarray) -> np.ndarray:
-    return (gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)) / LN2
-
-
-def binomial_log_pmf(n: int, j: int, p: float) -> LogWeight:
-    """log2 of the Binomial(n, p) mass at j, exact-zero when the mass vanishes."""
-    if j < 0 or j > n:
-        raise ValueError(f"require 0 <= j <= n, got n={n}, j={j}")
-    p = _check_probability(p)
-    if p == 0.0:
-        return LogWeight(0.0) if j == 0 else LogWeight.zero()
-    if p == 1.0:
-        return LogWeight(0.0) if j == n else LogWeight.zero()
-    return LogWeight(_log_binomial(n, j) + j * math.log2(p) + (n - j) * math.log2(1.0 - p))
+def _log2_binomial(log_factorials: np.ndarray, a, b):
+    """log2 C(a, b) for integers 0 <= b <= a < len(log_factorials), elementwise."""
+    return (log_factorials[a] - log_factorials[b] - log_factorials[a - b]) / LN2
 
 
 def _binomial_log_pmf_vec(n: int, p: float) -> np.ndarray:
     """log2 pmf over j = 0..n for 0 < p < 1."""
     j = np.arange(n + 1)
-    return _log_binomial_vec(n, j) + j * math.log2(p) + (n - j) * math.log2(1.0 - p)
+    return _log2_binomial(_log_factorials(n), n, j) + j * math.log2(p) + (n - j) * math.log2(1.0 - p)
 
 
 def block_entropy(n: int, p: float) -> float:
@@ -121,15 +63,6 @@ def block_entropy(n: int, p: float) -> float:
     # summing -pmf*log2(pmf) with fsum keeps the result exactly rounded and
     # independent of term order
     return math.fsum(np.exp2(lp) * -lp)
-
-
-def log_sum(terms: Iterable[LogWeight]) -> LogWeight:
-    """log2 of a sum of nonnegative quantities given by their log-weights."""
-    logs = [t.log2 for t in terms if not t.is_zero]
-    if not logs:
-        return LogWeight.zero()
-    m = max(logs)
-    return LogWeight(m + math.log2(math.fsum(2.0 ** (v - m) for v in logs)))
 
 
 @lru_cache(maxsize=512)

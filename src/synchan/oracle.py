@@ -43,8 +43,6 @@ __all__ = [
     "exact_deletion_substitution_entropies",
     "exact_insertion_entropies",
     "exact_insertion_conditional_law",
-    "single_insertion_law",
-    "bound_chain_check",
     "exact_block_entropy",
     "mc_awgn_entropy_check",
     "deletion_awgn_pattern_entropy_bound",
@@ -433,48 +431,6 @@ def exact_insertion_conditional_law(
     return law
 
 
-def single_insertion_law(
-    x: RunLengthSequence, p_i: float
-) -> dict[RunLengthSequence, float]:
-    """Conditional output law restricted to at most one replacement event.
-
-    Returns the probabilities of y = x (no event) and of every length n+1
-    output (one event), aggregated over coinciding outputs.  Total mass is
-    (1-p)^n + n p (1-p)^(n-1); the remainder sits on multi-event outputs.
-    """
-    if not 0 <= p_i <= 1:
-        raise ValueError(f"p_i must lie in [0, 1], got {p_i!r}")
-    bits = x.bits()
-    n = len(bits)
-    law: dict[RunLengthSequence, float] = {}
-    intact = (1.0 - p_i) ** n
-    if intact > 0:
-        law[x] = intact
-    event = p_i * (1.0 - p_i) ** (n - 1) / 4.0
-    if event > 0:
-        for pos in range(n):
-            for two_bits in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                y = bits[:pos] + two_bits + bits[pos + 1 :]
-                key = RunLengthSequence.from_bits(y)
-                law[key] = law.get(key, 0.0) + event
-    return law
-
-
-def bound_chain_check(method: str, n: int, p_d: float = 0.0, p_e: float = 0.0, p_i: float = 0.0):
-    """Verify the bound chain for one channel instance by full enumeration.
-
-    Returns the ordered :class:`Comparison` tuple from the matching exact
-    entropy report: the output-entropy identity, the conditional-entropy
-    upper bound(s), and the capacity chain (closed-form bound at most the
-    enumerated (I - H(T))/n).
-    """
-    if method in ("deletion", "deletion_substitution"):
-        return exact_deletion_substitution_entropies(n, p_d, p_e).bound_chain
-    if method == "random_insertion":
-        return exact_insertion_entropies(n, p_i).bound_chain
-    raise ValueError(f"no enumeration oracle for method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # high-precision and Monte-Carlo checks
 # ---------------------------------------------------------------------------
@@ -554,12 +510,10 @@ def _pattern_mixture(x: RunLengthSequence, d: int):
     vectors = []
     weights = []
     for pattern in enumerate_deletion_patterns(x.run_lengths, d):
-        weight = math.prod(
-            comb(nk, dk) for nk, dk in zip(x.run_lengths, pattern.per_run_deletions)
-        )
+        weight = math.prod(comb(nk, dk) for nk, dk in zip(x.run_lengths, pattern))
         survivors = []
         bit = x.first_bit
-        for nk, dk in zip(x.run_lengths, pattern.per_run_deletions):
+        for nk, dk in zip(x.run_lengths, pattern):
             survivors.extend([1.0 - 2.0 * bit] * (nk - dk))
             bit ^= 1
         vectors.append(tuple(survivors))

@@ -99,7 +99,7 @@ def run_property_checks(n_max: int = 12, seed: int = 7) -> list[Check]:
         for runs in profiles:
             for d in range(n + 1):
                 total = sum(
-                    math.prod(comb(nk, dk) for nk, dk in zip(runs, p.per_run_deletions))
+                    math.prod(comb(nk, dk) for nk, dk in zip(runs, p))
                     for p in combinatorics.enumerate_deletion_patterns(runs, d)
                 )
                 worst = max(worst, abs(total - comb(n, d)))
@@ -307,6 +307,8 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     fast test runs); verdicts at reduced size are still valid tests at the
     registered significance.
     """
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     checks = []
     streams = RngState(seed).split(6)
 

@@ -6,6 +6,7 @@ import pytest
 
 from synchan import cli
 from synchan.bounds import ChannelParams, evaluate_bound, gallager_bound
+from synchan.verification import run_simulator_checks
 
 from helpers import run_python
 
@@ -194,6 +195,20 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--scope", "chains")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
+    def test_invalid_sample_budget_rejected_before_any_scope(self, capsys, monkeypatch, budget):
+        ran = []
+        monkeypatch.setattr(cli, "run_scopes", lambda *args, **kwargs: ran.append(args) or {})
+        code, out, err = run_cli(capsys, "verify", "--mc-samples", budget)
+        assert code == 2
+        assert err.startswith("error:") and "--mc-samples" in err
+        assert out == "" and ran == []
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1e-6])
+    def test_simulator_checks_reject_invalid_scale(self, scale):
+        with pytest.raises(ValueError):
+            run_simulator_checks(scale=scale)
 
 
 class TestOptimizeCommand:

@@ -8,10 +8,7 @@ from hypothesis import given, strategies as st
 
 from synchan import combinatorics
 from synchan.combinatorics import (
-    DeletionPattern,
     RunLengthSequence,
-    apply_deletion_pattern,
-    decode,
     encode,
     enumerate_deletion_patterns,
     expected_run_count,
@@ -67,11 +64,11 @@ class TestRunLengthCoding:
         gen = np.random.default_rng(99)
         for _ in range(10_000):
             bits = tuple(gen.integers(0, 2, size=int(gen.integers(1, 65))))
-            assert decode(encode(bits)) == bits
+            assert encode(bits) == RunLengthSequence(bits[0], tuple(runs_of(bits)))
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
     def test_roundtrip_property(self, bits):
-        assert decode(encode(bits)) == tuple(bits)
+        assert encode(bits) == RunLengthSequence(bits[0], tuple(runs_of(bits)))
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -81,51 +78,15 @@ class TestRunLengthCoding:
         rls = encode(bits_of("1101100011"))
         assert rls == RunLengthSequence(1, (2, 1, 2, 3, 2))
         assert rls.length == 10
-        assert rls.run_count == 5
-        assert rls.unit_run_count == 1
-
-
-class TestApplyDeletionPattern:
-    def test_two_patterns_same_output(self):
-        # deleting runs 2..4 entirely plus one bit from either end run of
-        # 1101100011 leaves 111 both times
-        x = RunLengthSequence(1, (2, 1, 2, 3, 2))
-        first = apply_deletion_pattern(x, DeletionPattern((1, 1, 2, 3, 0)))
-        second = apply_deletion_pattern(x, DeletionPattern((0, 1, 2, 3, 1)))
-        assert first == second == RunLengthSequence(1, (3,))
-        assert decode(first) == (1, 1, 1)
-
-    def test_identity_pattern(self):
-        x = encode(bits_of("001101"))
-        assert apply_deletion_pattern(x, DeletionPattern((0,) * x.run_count)) == x
-
-    def test_full_deletion_gives_empty(self):
-        x = encode(bits_of("0011"))
-        out = apply_deletion_pattern(x, DeletionPattern(x.run_lengths))
-        assert out.run_lengths == ()
-        assert out.length == 0
-        assert decode(out) == ()
-
-    def test_output_length(self):
-        x = encode(bits_of("0110001110"))
-        for pattern in enumerate_deletion_patterns(x.run_lengths, 4):
-            assert apply_deletion_pattern(x, pattern).length == x.length - 4
-
-    def test_invariant_violations(self):
-        x = encode(bits_of("0011"))
-        with pytest.raises(ValueError):
-            apply_deletion_pattern(x, DeletionPattern((1,)))
-        with pytest.raises(ValueError):
-            apply_deletion_pattern(x, DeletionPattern((3, 0)))
 
 
 class TestEnumeratePatterns:
     def test_tiny_case(self):
-        got = {p.per_run_deletions for p in enumerate_deletion_patterns((2, 1), 1)}
+        got = set(enumerate_deletion_patterns((2, 1), 1))
         assert got == {(1, 0), (0, 1)}
 
     def test_single_run(self):
-        assert [p.per_run_deletions for p in enumerate_deletion_patterns((5,), 3)] == [(3,)]
+        assert list(enumerate_deletion_patterns((5,), 3)) == [(3,)]
 
     def test_pattern_totals(self):
         runs = (3, 1, 2)
@@ -138,7 +99,7 @@ class TestEnumeratePatterns:
             profile = runs_of(tuple(gen.integers(0, 2, size=n)))
             for d in range(n + 1):
                 total = sum(
-                    math.prod(comb(nk, dk) for nk, dk in zip(profile, p.per_run_deletions))
+                    math.prod(comb(nk, dk) for nk, dk in zip(profile, p))
                     for p in enumerate_deletion_patterns(profile, d)
                 )
                 assert total == comb(n, d)
@@ -224,6 +185,26 @@ class TestMeanPatternLogWeight:
         full = wide[0][2]
         for lo, hi, values in wide[1:]:
             assert np.array_equal(values, full[lo - 1 : hi])
+
+    def test_table_holds_only_the_requested_span(self, monkeypatch):
+        computed = []
+        kernel = combinatorics._pattern_log_weights
+
+        def counting_kernel(n, js):
+            computed.extend(js.tolist())
+            return kernel(n, js)
+
+        monkeypatch.setattr(combinatorics, "_pattern_log_weights", counting_kernel)
+        combinatorics._WEIGHT_TABLES.pop(20000, None)
+        first = mean_pattern_log_weights(20000, 190, 230).copy()
+        start, values = combinatorics._WEIGHT_TABLES[20000]
+        assert values.size <= 41
+        # growing the span keeps every value already computed
+        mean_pattern_log_weights(20000, 180, 200)
+        start, values = combinatorics._WEIGHT_TABLES[20000]
+        assert (start, values.size) == (180, 51)
+        assert np.array_equal(values[10:], first)
+        assert computed == list(range(190, 231)) + list(range(180, 190))
 
     def test_window_is_read_only(self):
         values = mean_pattern_log_weights(20, 3, 6)

@@ -12,7 +12,6 @@ from synchan.combinatorics import encode, subsequence_weight
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
     OracleResourceError,
-    bound_chain_check,
     deletion_awgn_pattern_entropy_bound,
     deletion_output_multiplicities,
     exact_block_entropy,
@@ -23,7 +22,6 @@ from synchan.oracle import (
     insertion_output_multiplicities,
     mc_awgn_entropy_check,
     mc_deletion_awgn_pattern_entropy,
-    single_insertion_law,
 )
 from synchan.verification import run_oracle_checks
 
@@ -230,68 +228,79 @@ class TestInsertionEntropies:
         assert oracle._insertion_tables.cache_info().misses == 3
 
 
+def at_most_one_insertion(bits, p):
+    """The exact conditional law restricted to outputs of length n and n + 1."""
+    law = exact_insertion_conditional_law(bits, p)
+    return {y: prob for y, prob in law.items() if len(y) <= len(bits) + 1}
+
+
 class TestSingleInsertionLaw:
     def test_no_insertions_is_point_mass(self):
-        x = encode([0, 1, 1])
-        assert single_insertion_law(x, 0.0) == {x: 1.0}
+        assert exact_insertion_conditional_law((0, 1, 1), 0.0) == {(0, 1, 1): 1.0}
 
     @pytest.mark.parametrize("bits", [(1, 1, 1, 1, 1), (0, 0, 1, 0, 1), (0, 1)])
     def test_total_mass(self, bits):
         p = 0.15
         n = len(bits)
-        law = single_insertion_law(encode(bits), p)
+        law = at_most_one_insertion(bits, p)
         expected = (1 - p) ** n + n * p * (1 - p) ** (n - 1)
         assert math.fsum(law.values()) == pytest.approx(expected, abs=1e-14)
 
     def test_generic_run_extension_coefficients(self):
         p = 0.1
-        x = encode([0, 0, 0, 1, 1, 1, 1, 0, 0, 0])  # runs (3, 4, 3)
-        law = single_insertion_law(x, p)
-        q = p * (1 - p) ** 9
-        assert law[encode([0] * 4 + [1] * 4 + [0] * 3)] == pytest.approx(4 / 4 * q, rel=1e-12)
-        assert law[encode([0] * 3 + [1] * 5 + [0] * 3)] == pytest.approx(6 / 4 * q, rel=1e-12)
-        assert law[encode([0] * 3 + [1] * 4 + [0] * 4)] == pytest.approx(4 / 4 * q, rel=1e-12)
-        # replacing the second 1 of the middle run by 00 splits it: 000 1 00 11 000
-        split = encode([0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0])
+        # runs (3, 3, 3), within the oracle's n <= 9
+        law = at_most_one_insertion((0, 0, 0, 1, 1, 1, 0, 0, 0), p)
+        q = p * (1 - p) ** 8
+        assert law[(0,) * 4 + (1,) * 3 + (0,) * 3] == pytest.approx(4 / 4 * q, rel=1e-12)
+        assert law[(0,) * 3 + (1,) * 4 + (0,) * 3] == pytest.approx(5 / 4 * q, rel=1e-12)
+        assert law[(0,) * 3 + (1,) * 3 + (0,) * 4] == pytest.approx(4 / 4 * q, rel=1e-12)
+        # replacing the second 1 of the middle run by 00 splits it: 000 1 00 1 000
+        split = (0, 0, 0, 1, 0, 0, 1, 0, 0, 0)
         assert law[split] == pytest.approx(1 / 4 * q, rel=1e-12)
 
     def test_single_run_boundary_collapse(self):
         # one run has no extension event from a neighbouring run, so the
         # extension mass is n/4, not (n+1)/4
         p = 0.2
-        law = single_insertion_law(encode([1] * 5), p)
+        law = at_most_one_insertion((1,) * 5, p)
         q = p * (1 - p) ** 4
-        assert law[encode([1] * 6)] == pytest.approx(5 / 4 * q, rel=1e-12)
+        assert law[(1,) * 6] == pytest.approx(5 / 4 * q, rel=1e-12)
 
     def test_matches_full_enumeration(self):
+        # every single event: one position replaced by each of the four bit pairs
         p = 0.3
-        x = encode([0, 1, 1, 0, 1])
-        law = single_insertion_law(x, p)
-        full = exact_insertion_conditional_law(x.bits(), p)
-        truncated = {}
-        for bits, prob in full.items():
-            if len(bits) <= x.length + 1:
-                truncated[encode(bits)] = prob
-        assert set(truncated) == set(law)
-        for key, prob in law.items():
-            assert prob == pytest.approx(truncated[key], rel=1e-12)
+        x = (0, 1, 1, 0, 1)
+        n = len(x)
+        expected = {x: (1 - p) ** n}
+        for pos in range(n):
+            for pair in product((0, 1), repeat=2):
+                y = x[:pos] + pair + x[pos + 1 :]
+                expected[y] = expected.get(y, 0.0) + p * (1 - p) ** (n - 1) / 4
+        law = at_most_one_insertion(x, p)
+        assert set(law) == set(expected)
+        for y, prob in law.items():
+            assert prob == pytest.approx(expected[y], rel=1e-12)
 
 
 class TestBoundChainCheck:
+    """The ordered chain each exact report carries, as the chains scope reads it."""
+
     def test_deletion_chain(self):
-        chain = bound_chain_check("deletion_substitution", 8, p_d=0.1, p_e=0.05)
+        chain = exact_deletion_substitution_entropies(8, 0.1, 0.05).bound_chain
+        assert [c.label for c in chain] == [
+            "output_entropy_identity",
+            "conditional_entropy_bound",
+            "capacity_chain",
+        ]
         assert all(c.holds for c in chain)
 
     def test_insertion_chain_reports_reality(self):
-        chain = bound_chain_check("random_insertion", 6, p_i=0.1)
+        chain = exact_insertion_entropies(6, 0.1).bound_chain
         by_label = {c.label: c for c in chain}
+        assert chain[0].label == "output_entropy_identity"
         assert by_label["output_entropy_identity"].holds
         assert not by_label["capacity_chain"].holds
         assert by_label["capacity_chain_exact_weight"].holds
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            bound_chain_check("deletion_awgn", 4)
 
 
 class TestHighPrecisionBlockEntropy:
