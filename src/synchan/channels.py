@@ -5,6 +5,14 @@ the :class:`RngState` it advances.  The generator is NumPy's PCG64 seeded
 through ``SeedSequence``; independent streams come from ``SeedSequence.spawn``,
 so identical seeds give identical sample paths on every platform.  Each
 simulator documents the order in which it consumes random draws.
+
+Every simulator takes a block of n bits or a ``(trials, n)`` batch of blocks,
+which runs in one vectorised pass; a block is the one-row batch.  A batch of
+``simulate_bsc`` returns a ``(trials, n)`` array.  A batch of any other
+simulator returns ``(symbols, lengths)``: every row's output concatenated in
+row order, and the int64 output length of each row.  Draws are taken
+row-major over the whole batch, stage by stage, so a batch consumes the
+stream as the block call on the flattened input does.
 """
 
 from __future__ import annotations
@@ -46,77 +54,96 @@ class RngState:
 
 
 def _as_bits(bits: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
+    """A block (n,) or batch (trials, n) as uint8, every element checked to be 0 or 1."""
+    arr = np.asarray(bits)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"bits must be a 1-D block or a 2-D batch, got {arr.ndim}-D")
+    if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bits must be 0 or 1")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
-def simulate_deletion(bits: Sequence[int], p_d: float, rng: RngState) -> np.ndarray:
+def _delete(batch: np.ndarray, p_d: float, rng: RngState) -> tuple[np.ndarray, np.ndarray]:
+    """Survivors of every row concatenated, and each row's survivor count."""
+    keep = rng.generator.random(batch.shape) >= p_d
+    return batch[keep], keep.sum(axis=1, dtype=np.int64)
+
+
+def _flip(arr: np.ndarray, p_e: float, rng: RngState) -> np.ndarray:
+    return arr ^ (rng.generator.random(arr.shape) < p_e).astype(np.uint8)
+
+
+def simulate_deletion(bits: Sequence[int], p_d: float, rng: RngState):
     """Remove each bit independently with probability p_d, preserving order.
 
-    Consumes one uniform draw per input bit.
+    Consumes one uniform draw per input bit, row-major.  A batch returns
+    ``(symbols, lengths)``.
     """
     p_d = _check_probability(p_d, "p_d")
     arr = _as_bits(bits)
-    keep = rng.generator.random(arr.size) >= p_d
-    return arr[keep]
+    survivors, lengths = _delete(np.atleast_2d(arr), p_d, rng)
+    return survivors if arr.ndim == 1 else (survivors, lengths)
 
 
 def simulate_bsc(bits: Sequence[int], p_e: float, rng: RngState) -> np.ndarray:
     """Flip each bit independently with probability p_e.
 
-    Consumes one uniform draw per input bit.
+    Consumes one uniform draw per input bit, row-major.  A batch returns a
+    ``(trials, n)`` array.
     """
     p_e = _check_probability(p_e, "p_e")
-    arr = _as_bits(bits)
-    flips = rng.generator.random(arr.size) < p_e
-    return arr ^ flips.astype(np.uint8)
+    return _flip(_as_bits(bits), p_e, rng)
 
 
-def simulate_deletion_substitution(
-    bits: Sequence[int], p_d: float, p_e: float, rng: RngState
-) -> np.ndarray:
+def simulate_deletion_substitution(bits: Sequence[int], p_d: float, p_e: float, rng: RngState):
     """Deletion stage followed by a binary symmetric channel on the survivors.
 
-    Consumes the deletion draws first, then one flip draw per survivor.
+    Consumes all the deletion draws first, one uniform per input bit, then
+    one flip draw per survivor, both row-major.  A batch returns
+    ``(symbols, lengths)``.
     """
-    return simulate_bsc(simulate_deletion(bits, p_d, rng), p_e, rng)
+    p_d = _check_probability(p_d, "p_d")
+    p_e = _check_probability(p_e, "p_e")
+    arr = _as_bits(bits)
+    survivors, lengths = _delete(np.atleast_2d(arr), p_d, rng)
+    received = _flip(survivors, p_e, rng)
+    return received if arr.ndim == 1 else (received, lengths)
 
 
-def simulate_deletion_awgn(
-    bits: Sequence[int], p_d: float, sigma: float, rng: RngState
-) -> np.ndarray:
+def simulate_deletion_awgn(bits: Sequence[int], p_d: float, sigma: float, rng: RngState):
     """Deletion stage, then antipodal mapping 0 -> +1, 1 -> -1 plus N(0, sigma^2) noise.
 
-    Consumes the deletion draws first, then one Gaussian draw per survivor.
+    Consumes all the deletion draws first, one uniform per input bit, then
+    one Gaussian draw per survivor, both row-major.  A batch returns
+    ``(symbols, lengths)``.
     """
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    survivors = simulate_deletion(bits, p_d, rng)
+    p_d = _check_probability(p_d, "p_d")
+    arr = _as_bits(bits)
+    survivors, lengths = _delete(np.atleast_2d(arr), p_d, rng)
     symbols = 1.0 - 2.0 * survivors.astype(np.float64)
-    return symbols + sigma * rng.generator.standard_normal(symbols.size)
+    received = symbols + sigma * rng.generator.standard_normal(symbols.size)
+    return received if arr.ndim == 1 else (received, lengths)
 
 
-def simulate_gallager_insertion(bits: Sequence[int], p_i: float, rng: RngState) -> np.ndarray:
+def simulate_gallager_insertion(bits: Sequence[int], p_i: float, rng: RngState):
     """Replace each bit, independently with probability p_i, by two uniform bits.
 
     The replaced bit does not survive; the four two-bit patterns are
     equiprobable.  Unreplaced bits pass through intact and order is
-    preserved, so the output length is the input length plus the number of
-    replacement events.  Consumes one uniform draw per input bit for the
-    event mask, then two bit draws per event in input order.
+    preserved, so a row's output length is n plus its number of replacement
+    events.  Consumes one uniform draw per input bit for the event mask,
+    row-major, then one ``integers(0, 2, (events, 2), uint8)`` draw whose
+    rows follow the events in row-major order.  A batch returns
+    ``(symbols, lengths)``.
     """
     p_i = _check_probability(p_i, "p_i")
     arr = _as_bits(bits)
-    events = rng.generator.random(arr.size) < p_i
+    batch = np.atleast_2d(arr)
+    events = rng.generator.random(batch.shape) < p_i
     replacements = rng.generator.integers(0, 2, size=(int(events.sum()), 2), dtype=np.uint8)
-    sizes = np.where(events, 2, 1)
-    starts = np.cumsum(sizes) - sizes
-    out = np.empty(int(sizes.sum()), dtype=np.uint8)
-    out[starts[~events]] = arr[~events]
-    out[starts[events]] = replacements[:, 0]
-    out[starts[events] + 1] = replacements[:, 1]
-    return out
+    sizes = np.where(events, 2, 1).ravel()
+    out = np.repeat(batch.ravel(), sizes)
+    out[np.repeat(events.ravel(), sizes)] = replacements.ravel()
+    return out if arr.ndim == 1 else (out, batch.shape[1] + events.sum(axis=1, dtype=np.int64))

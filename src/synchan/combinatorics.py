@@ -41,24 +41,6 @@ class RunLengthSequence:
         if any(r < 1 for r in self.run_lengths):
             raise ValueError(f"run lengths must be positive, got {self.run_lengths!r}")
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "RunLengthSequence":
-        bits = tuple(int(b) for b in bits)
-        if not bits:
-            raise ValueError("cannot encode an empty sequence")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError("bits must be 0 or 1")
-        lengths = []
-        current, count = bits[0], 0
-        for b in bits:
-            if b == current:
-                count += 1
-            else:
-                lengths.append(count)
-                current, count = b, 1
-        lengths.append(count)
-        return cls(bits[0], tuple(lengths))
-
     @property
     def length(self) -> int:
         return sum(self.run_lengths)
@@ -66,7 +48,22 @@ class RunLengthSequence:
 
 def encode(bits: Sequence[int]) -> RunLengthSequence:
     """Run-length encode a non-empty binary sequence."""
-    return RunLengthSequence.from_bits(bits)
+    bits = tuple(bits)
+    if not bits:
+        raise ValueError("cannot encode an empty sequence")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
+    bits = tuple(int(b) for b in bits)
+    lengths = []
+    current, count = bits[0], 0
+    for b in bits:
+        if b == current:
+            count += 1
+        else:
+            lengths.append(count)
+            current, count = b, 1
+    lengths.append(count)
+    return RunLengthSequence(bits[0], tuple(lengths))
 
 
 def enumerate_deletion_patterns(runs: Sequence[int], d: int) -> Iterator[tuple[int, ...]]:

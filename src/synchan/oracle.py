@@ -482,8 +482,8 @@ def mc_awgn_entropy_check(
     """
     if samples < 100_000:
         raise ValueError(f"need at least 1e5 samples, got {samples}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
     gen = RngState(seed).generator
     total = 0.0
     total_sq = 0.0

@@ -51,6 +51,8 @@ KS_SIGMA = 1.0
 NOISE_SAMPLES = 1_000_000
 NOISE_SIGMA = 0.7
 AWGN_MC_SAMPLES = 1_000_000
+# the looped checks feed their trials in chunks of at most this many input bits
+_CHUNK_ELEMENTS = 1 << 16
 
 DELETION_GRID_N = range(1, 9)
 INSERTION_GRID_N = range(1, 7)
@@ -300,6 +302,13 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return np.array([comb(n, int(i)) for i in k]) * p**k * (1 - p) ** (n - k)
 
 
+def _chunked(simulate, block: Sequence[int], trials: int, *args):
+    """Batch outputs of ``trials`` copies of ``block``, fed in chunks of fixed size."""
+    rows = max(1, _CHUNK_ELEMENTS // len(block))
+    for start in range(0, trials, rows):
+        yield simulate(np.tile(np.uint8(block), (min(rows, trials - start), 1)), *args)
+
+
 def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check]:
     """Distributional tests of the four channel simulators with fixed seeds.
 
@@ -315,8 +324,8 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     trials = max(1000, int(DELETION_TRIALS * scale))
     bits = [0, 1] * (DELETION_BLOCK // 2)
     lengths = np.zeros(DELETION_BLOCK + 1, dtype=np.int64)
-    for _ in range(trials):
-        lengths[channels.simulate_deletion(bits, DELETION_P, streams[0]).size] += 1
+    for _, survivors in _chunked(channels.simulate_deletion, bits, trials, DELETION_P, streams[0]):
+        lengths += np.bincount(survivors, minlength=DELETION_BLOCK + 1)
     pvalue = _chi_square(lengths, _binomial_pmf(DELETION_BLOCK, 1 - DELETION_P) * trials)
     checks.append(
         _check(
@@ -344,11 +353,11 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     # readable straight off the output, so the joint law is fully observable
     trials = max(1000, int(JOINT_TRIALS * scale))
     block = DELETION_BLOCK
-    zeros = np.zeros(block, dtype=np.uint8)
     joint = np.zeros((block + 1, block + 1), dtype=np.int64)
-    for _ in range(trials):
-        full = channels.simulate_deletion_substitution(zeros, JOINT_P_D, JOINT_P_E, streams[2])
-        joint[full.size, int(full.sum())] += 1
+    simulate = channels.simulate_deletion_substitution
+    for out, sizes in _chunked(simulate, [0] * block, trials, JOINT_P_D, JOINT_P_E, streams[2]):
+        flips = np.bincount(np.repeat(np.arange(sizes.size), sizes), out, sizes.size)
+        np.add.at(joint, (sizes, flips.astype(np.int64)), 1)
     length_pmf = _binomial_pmf(block, 1 - JOINT_P_D)
     expected = np.zeros_like(joint, dtype=np.float64)
     for m in range(block + 1):
@@ -399,9 +408,9 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     trials = max(1000, int(INSERTION_TRIALS * scale))
     bits_ins = [0, 1] * (INSERTION_BLOCK // 2)
     counts = np.zeros(INSERTION_BLOCK + 1, dtype=np.int64)
-    for _ in range(trials):
-        out = channels.simulate_gallager_insertion(bits_ins, INSERTION_P, streams[5])
-        counts[out.size - INSERTION_BLOCK] += 1
+    simulate = channels.simulate_gallager_insertion
+    for _, sizes in _chunked(simulate, bits_ins, trials, INSERTION_P, streams[5]):
+        counts += np.bincount(sizes - INSERTION_BLOCK, minlength=INSERTION_BLOCK + 1)
     pvalue = _chi_square(counts, _binomial_pmf(INSERTION_BLOCK, INSERTION_P) * trials)
     checks.append(
         _check(
@@ -413,10 +422,9 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
 
     trials = max(1000, int(SINGLE_BIT_TRIALS * scale))
     pair_counts = np.zeros(4, dtype=np.int64)
-    for _ in range(trials):
-        out = channels.simulate_gallager_insertion([1], 0.5, streams[5])
-        if out.size == 2:
-            pair_counts[2 * out[0] + out[1]] += 1
+    for out, sizes in _chunked(simulate, [1], trials, 0.5, streams[5]):
+        first = (np.cumsum(sizes) - sizes)[sizes == 2]
+        pair_counts += np.bincount(2 * out[first] + out[first + 1], minlength=4)
     pvalue = _chi_square(pair_counts, np.full(4, pair_counts.sum() / 4.0))
     checks.append(
         _check(

@@ -74,6 +74,15 @@ class TestRunLengthCoding:
         with pytest.raises(ValueError):
             encode([])
 
+    @pytest.mark.parametrize("bits", [[0.5, 1], [2, 1], [-1, 0], [1, 1.5]])
+    def test_non_bits_rejected(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode(bits)
+
+    def test_bools_and_integral_floats_accepted(self):
+        assert encode([True, True, False]) == RunLengthSequence(1, (2, 1))
+        assert encode(np.array([0.0, 1.0, 1.0])) == RunLengthSequence(0, (1, 2))
+
     def test_derived_fields(self):
         rls = encode(bits_of("1101100011"))
         assert rls == RunLengthSequence(1, (2, 1, 2, 3, 2))

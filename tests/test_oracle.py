@@ -334,6 +334,15 @@ class TestMcAwgnEntropyCheck:
         with pytest.raises(ValueError):
             mc_awgn_entropy_check(1.0, samples=10)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_invalid_sigma_rejected_before_any_draw(self, sigma, monkeypatch):
+        def no_stream(*args, **kwargs):
+            raise AssertionError("drew samples before checking sigma")
+
+        monkeypatch.setattr(oracle, "RngState", no_stream)
+        with pytest.raises(ValueError, match="sigma"):
+            mc_awgn_entropy_check(sigma, samples=100_000)
+
 
 class TestPatternEntropyBound:
     """Monte-Carlo spot checks of the per-pattern conditional-entropy bound."""
