@@ -122,6 +122,8 @@ def gallager_bound(params: ChannelParams) -> BoundResult:
 _PMF_LOG2_WINDOW = 50.0
 
 
+# sweeps repeat each (n, p_d) across their p_e or SNR axis
+@lru_cache(maxsize=1024)
 def _pattern_gain(n: int, p_d: float) -> float:
     """(1/n) sum over j of W_j(n) C(n,j) p^j (1-p)^(n-j), j-range truncated."""
     if p_d == 0.0 or p_d == 1.0:
@@ -139,28 +141,27 @@ def _check_block_length(n: int, minimum: int = 1) -> None:
         raise ValueError(f"block length must be >= {minimum}, got {n}")
 
 
+def _deletion_components(n: int, p_d: float, p_e: float = 0.0, sigma: float = 0.0) -> dict[str, float]:
+    """Check n, then the parameters; return the terms every deletion-family bound shares."""
+    _check_block_length(n)
+    ChannelParams(p_d=p_d, p_e=p_e, sigma=sigma)
+    return {
+        "base": 1.0 - p_d,
+        "block_entropy_penalty": -binary_entropy(p_d),
+        "pattern_gain": _pattern_gain(n, p_d),
+    }
+
+
 def deletion_substitution_bound(n: int, p_d: float, p_e: float) -> BoundResult:
     """Finite-block capacity lower bound for the deletion-substitution channel."""
-    _check_block_length(n)
-    params = ChannelParams.deletion_substitution(p_d, p_e)
-    return BoundResult.from_components(
-        "deletion_substitution",
-        n,
-        {
-            "base": 1.0 - params.p_d,
-            "block_entropy_penalty": -binary_entropy(params.p_d),
-            "pattern_gain": _pattern_gain(n, params.p_d),
-            "substitution_penalty": -(1.0 - params.p_d) * binary_entropy(params.p_e),
-        },
-    )
+    components = _deletion_components(n, p_d, p_e=p_e)
+    components["substitution_penalty"] = -(1.0 - p_d) * binary_entropy(p_e)
+    return BoundResult.from_components("deletion_substitution", n, components)
 
 
 def deletion_bound(n: int, p_d: float) -> BoundResult:
     """Deletion-only capacity lower bound (substitution probability zero)."""
-    inner = deletion_substitution_bound(n, p_d, 0.0)
-    components = dict(inner.components)
-    del components["substitution_penalty"]
-    return BoundResult.from_components("deletion", n, components)
+    return BoundResult.from_components("deletion", n, _deletion_components(n, p_d))
 
 
 def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
@@ -196,11 +197,9 @@ def deletion_bound_small_p(n: int, p_d: float) -> BoundResult:
 
 def deletion_awgn_bound(n: int, p_d: float, sigma: float) -> BoundResult:
     """Capacity lower bound for the deletion channel cascaded with BI-AWGN."""
-    params = ChannelParams.deletion_awgn(p_d, sigma)
-    inner = deletion_bound(n, params.p_d)
-    components = dict(inner.components)
-    penalty = 0.0 if params.sigma == 0.0 else awgn_expectation(params.sigma)
-    components["awgn_penalty"] = -(1.0 - params.p_d) * penalty
+    components = _deletion_components(n, p_d, sigma=sigma)
+    penalty = 0.0 if sigma == 0.0 else awgn_expectation(sigma)
+    components["awgn_penalty"] = -(1.0 - p_d) * penalty
     return BoundResult.from_components("deletion_awgn", n, components)
 
 

@@ -193,7 +193,7 @@ def _single_insertion_sum(n: int, interior_coeff) -> float:
                 + 2 * (l + 1) * math.log2(l + 1)
             )
         )
-    return math.fsum(terms) / (4 * n) + math.log2(n) / 2.0 ** (n + 1)
+    return math.fsum(terms) / (4 * n) + math.ldexp(math.log2(n), -(n + 1))
 
 
 @lru_cache(maxsize=None)

@@ -65,22 +65,32 @@ def block_entropy(n: int, p: float) -> float:
     return math.fsum(np.exp2(lp) * -lp)
 
 
+# past this sigma the quadrature drifts by a few ulps and sigma**2 overflows
+# near 1.3e154, while the low-SNR expansion is accurate to an ulp
+_LOW_SNR_SIGMA = 1e4
+
+
 @lru_cache(maxsize=512)
 def awgn_expectation(sigma: float) -> float:
     """Expected log2(1 + exp(-2*y/sigma^2)) for y ~ N(1, sigma^2).
 
     One minus this value is the capacity of the binary-input AWGN channel with
     unit-energy antipodal signalling and noise variance sigma^2.  The result
-    lies in [0, 1) and increases with sigma (it underflows to exactly 0.0 for
-    very small sigma).
+    lies in [0, 1] and increases with sigma (it underflows to exactly 0.0 for
+    very small sigma and rounds to exactly 1.0 for sigma beyond about 1e8).
 
-    One adaptive Gauss-Kronrod integration (``scipy.integrate.quad``) over
-    y in 1 +- 40 sigma, split at the integrand's kink y = 0 and at its mode
-    y = 1, to relative accuracy 1e-12.
+    For sigma <= 1e4: one adaptive Gauss-Kronrod integration
+    (``scipy.integrate.quad``) over y in 1 +- 40 sigma, split at the
+    integrand's kink y = 0 and at its mode y = 1, to relative accuracy 1e-12.
+    Beyond that, the low-SNR expansion 1 - 1/(2 sigma^2 ln 2).
     """
     sigma = float(sigma)
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    if sigma > _LOW_SNR_SIGMA:
+        # the next term, 1/(4 sigma^4 ln 2), is below half an ulp of 1 here;
+        # sigma * sigma may overflow to inf, which gives exactly 1.0
+        return 1.0 - 0.5 / (sigma * sigma * LN2)
     # imported here: loading scipy.integrate costs about 0.3 s, which a bare
     # ``import synchan`` need not pay (synchan.cli loads it through scipy.stats)
     from scipy.integrate import quad

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synchan.bounds import (
     ChannelParams,
@@ -184,6 +185,13 @@ class TestRandomInsertionBound:
         with pytest.raises(ValueError):
             random_insertion_bound(1, 0.1)
 
+    @pytest.mark.parametrize("n", [1023, 1024, 4096])
+    @pytest.mark.parametrize("bound", [random_insertion_bound, random_insertion_bound_small_p])
+    def test_finite_past_n_1022(self, bound, n):
+        # 2.0 ** (n + 1) overflows a float from n = 1023
+        for p_i in (0.0, 0.001):
+            assert math.isfinite(bound(n, p_i).rate)
+
 
 class TestInsertionSmallP:
     def test_reference_coefficients(self):
@@ -280,6 +288,46 @@ class TestBoundResultInvariants:
     )
     def test_error_free_rate_is_one(self, method, n):
         assert evaluate_bound(method, ChannelParams(), n).rate == pytest.approx(1.0, abs=1e-12)
+
+    def test_deletion_family_component_order(self):
+        shared = ["base", "block_entropy_penalty", "pattern_gain"]
+        assert list(deletion_bound(40, 0.07).components) == shared
+        assert list(deletion_substitution_bound(40, 0.07, 0.02).components) == shared + [
+            "substitution_penalty"
+        ]
+        assert list(deletion_awgn_bound(40, 0.07, 0.8).components) == shared + ["awgn_penalty"]
+
+
+# probabilities anywhere in [0, 1], and within 1e-9 of either end
+_PROBABILITIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-9),
+    st.floats(0.0, 1e-9).map(lambda x: 1.0 - x),
+)
+_BOUNDS = {
+    "deletion": lambda n, p, q, sigma: deletion_bound(n, p),
+    "deletion_substitution": lambda n, p, q, sigma: deletion_substitution_bound(n, p, q),
+    "deletion_awgn": lambda n, p, q, sigma: deletion_awgn_bound(n, p, sigma),
+    "random_insertion": lambda n, p, q, sigma: random_insertion_bound(n, p),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    method=st.sampled_from(sorted(_BOUNDS)),
+    n=st.integers(1, 4096),
+    p=_PROBABILITIES,
+    q=_PROBABILITIES,
+    sigma=st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e)),
+)
+def test_bounds_are_finite_component_sums_at_most_one(method, n, p, q, sigma):
+    try:
+        result = _BOUNDS[method](n, p, q, sigma)
+    except ValueError:
+        return
+    assert all(math.isfinite(v) for v in result.components.values())
+    assert result.rate == math.fsum(result.components.values())
+    assert result.rate <= 1.0
 
 
 def test_evaluate_bound_requires_block_length():

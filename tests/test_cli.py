@@ -1,10 +1,12 @@
 import csv
 import json
+import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from synchan import cli
+from synchan import bounds, cli
 from synchan.bounds import ChannelParams, evaluate_bound, gallager_bound
 from synchan.verification import run_simulator_checks
 
@@ -15,6 +17,22 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def corrupted_pattern_weights(monkeypatch):
+    """Constant 5.0 pattern weights, with the pattern-gain memo emptied on both sides.
+
+    Gains memoised by earlier tests would hide the fault, and gains memoised
+    from the fault would reach later tests.
+    """
+    bounds._pattern_gain.cache_clear()
+    monkeypatch.setattr(
+        "synchan.bounds.mean_pattern_log_weights", lambda n, lo, hi: np.full(hi - lo + 1, 5.0)
+    )
+    yield
+    monkeypatch.undo()
+    bounds._pattern_gain.cache_clear()
 
 
 class TestBoundCommand:
@@ -46,6 +64,17 @@ class TestBoundCommand:
         )
         assert code == 0
         assert json.loads(out)["rate"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_very_low_snr(self, capsys):
+        # sigma = 1e160, whose square overflows a float
+        code, out, _ = run_cli(
+            capsys, "bound", "--method", "del-awgn", "--n", "100",
+            "--pd", "0.1", "--snr-db=-3200", "--json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["components"]["awgn_penalty"] == -(1 - 0.1) * 1.0
+        assert math.isfinite(payload["rate"])
 
     def test_conflicting_noise_flags(self, capsys):
         code, _, err = run_cli(
@@ -148,6 +177,62 @@ class TestSweepCommand:
         assert "3.6" in err
         assert out == ""
 
+    def test_pattern_weights_requested_once_per_block_length_and_pd(self, capsys, monkeypatch):
+        requested = []
+        weights = bounds.mean_pattern_log_weights
+
+        def counting(n, lo, hi):
+            requested.append(n)
+            return weights(n, lo, hi)
+
+        bounds._pattern_gain.cache_clear()
+        monkeypatch.setattr(bounds, "mean_pattern_log_weights", counting)
+        code, out, _ = run_cli(
+            capsys, "sweep", "--method", "deletion", "--method", "del-sub",
+            "--pd", "0.013,0.17", "--pe", "0,0.001,0.01,0.03,0.1", "--n", "100,1000",
+        )
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1 + 20
+        assert sorted(requested) == [100, 100, 1000, 1000]
+
+    def test_deletion_family_rates_equal_cold_direct_calls(self, capsys, monkeypatch):
+        # the sweep reads memoised gains; a fresh interpreter computes each
+        # reference value with the memo and the W_j tables emptied first
+        evaluated = []
+
+        def recording(method, params, n):
+            result = evaluate_bound(method, params, n)
+            evaluated.append([method, params.p_d, params.p_e, params.sigma, n, result.rate])
+            return result
+
+        monkeypatch.setattr(cli, "evaluate_bound", recording)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--method", "del-sub", "--method", "deletion", "--method", "del-awgn",
+            "--pd", "0.01,0.1", "--pe", "0,0.03", "--snr-db", "0,10", "--n", "100,1000",
+        )
+        assert code == 0
+        assert len(evaluated) == 3 * 16
+        script = textwrap.dedent(
+            """\
+            import json, sys
+            from synchan import bounds, combinatorics
+            calls = {
+                "deletion_substitution": lambda p_d, p_e, s, n: bounds.deletion_substitution_bound(n, p_d, p_e),
+                "deletion": lambda p_d, p_e, s, n: bounds.deletion_bound(n, p_d),
+                "deletion_awgn": lambda p_d, p_e, s, n: bounds.deletion_awgn_bound(n, p_d, s),
+            }
+            rates = []
+            for method, p_d, p_e, sigma, n, _ in json.loads(sys.argv[1]):
+                bounds._pattern_gain.cache_clear()
+                combinatorics._WEIGHT_TABLES.clear()
+                rates.append(calls[method](p_d, p_e, sigma, n).rate)
+            print(json.dumps(rates))
+            """
+        )
+        result = run_python("-c", script, json.dumps(evaluated))
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == [row[-1] for row in evaluated]
+
     def test_log_axis_parsing(self):
         axis = cli._parse_axis("1e-4:1e-1:4:log")
         assert axis == pytest.approx([1e-4, 1e-3, 1e-2, 1e-1], rel=1e-9)
@@ -186,12 +271,9 @@ class TestVerifyCommand:
         code_b, out_b, _ = run_cli(capsys, *args)
         assert (code_a, out_a) == (code_b, out_b)
 
-    def test_injected_defect_is_caught(self, capsys, monkeypatch):
+    def test_injected_defect_is_caught(self, capsys, corrupted_pattern_weights):
         # mutate the pattern weights used by the deletion bound; the chain
         # checks must go red
-        monkeypatch.setattr(
-            "synchan.bounds.mean_pattern_log_weights", lambda n, lo, hi: np.full(hi - lo + 1, 5.0)
-        )
         code, out, _ = run_cli(capsys, "verify", "--scope", "chains")
         assert code == 1
         assert "FAIL" in out
@@ -221,6 +303,15 @@ class TestOptimizeCommand:
         payload = json.loads(out)
         assert payload["block_length"] == 5
         assert payload["rate"] == pytest.approx(0.8276, abs=5e-4)
+
+    def test_insertion_scan_past_n_1022(self, capsys):
+        # 2.0 ** (n + 1) overflows a float from n = 1023
+        code, out, _ = run_cli(
+            capsys, "optimize", "--method", "insertion", "--pi", "0.001",
+            "--n-max", "1100", "--json",
+        )
+        assert code == 0
+        assert math.isfinite(json.loads(out)["rate"])
 
     def test_custom_floor(self, capsys):
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -130,6 +131,26 @@ class TestAwgnExpectation:
 
             reference = mpmath.quad(integrand, [-mpmath.inf, 1 - 20 * s, 0, 1, 1 + 20 * s, mpmath.inf])
         assert abs(awgn_expectation(sigma) - float(reference)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "sigma", [5e-324, 1e-200, 1e10, 1e50, 1e150, 1.4e154, 1e200, sys.float_info.max]
+    )
+    def test_extreme_sigma_stays_in_unit_interval(self, sigma):
+        # quadrature over 1 +- 40 sigma reads 1.0000000000000002 at sigma = 1e10,
+        # and sigma**2 overflows a float from about 1.34e154
+        assert 0.0 <= awgn_expectation(sigma) <= 1.0
+
+    @pytest.mark.parametrize("sigma", [1.0001e4, 3e4, 1e6])
+    def test_low_snr_branch_against_mpmath(self, sigma):
+        # in z = (y - 1) / sigma, standard normal, split at the kink z = -1/sigma
+        with mpmath.workdps(40):
+            s = mpmath.mpf(sigma)
+
+            def integrand(z):
+                return mpmath.npdf(z) * mpmath.log(1 + mpmath.exp(-2 * (1 + s * z) / s**2), 2)
+
+            reference = mpmath.quad(integrand, [-mpmath.inf, -1 / s, 0, mpmath.inf])
+        assert abs(awgn_expectation(sigma) - float(reference)) <= 1e-15
 
     def test_domain(self):
         with pytest.raises(ValueError):
