@@ -58,7 +58,15 @@ def _sigma_from_args(args) -> float:
         if args.noise_var < 0:
             raise ValueError("--noise-var must be nonnegative")
         return math.sqrt(args.noise_var)
-    return 10.0 ** (-args.snr_db / 20.0)
+    return _sigma_from_snr_db(args.snr_db)
+
+
+def _sigma_from_snr_db(snr_db: float) -> float:
+    """sigma = 10^(-snr_db / 20), or ValueError where that exceeds the float range."""
+    try:
+        return 10.0 ** (-snr_db / 20.0)
+    except OverflowError:
+        raise ValueError(f"--snr-db {snr_db!r} gives a sigma beyond the float range") from None
 
 
 def _params_from_args(args) -> ChannelParams:
@@ -213,7 +221,7 @@ def cmd_sweep(args) -> int:
     pe_axis = axis(args.pe, [0.0])
     pi_axis = axis(args.pi, [0.0])
     if _noise_flag(args) == "snr_db":
-        sigma_axis = [10.0 ** (-db / 20.0) for db in axis(args.snr_db, [])]
+        sigma_axis = [_sigma_from_snr_db(db) for db in axis(args.snr_db, [])]
     else:
         sigma_axis = axis(args.sigma, [0.0])
     n_axis = axis(args.n, [None], integer=True)

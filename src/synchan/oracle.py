@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
 from typing import Mapping, Sequence
 
@@ -146,46 +146,68 @@ class EntropyReport:
 # deletion-side enumeration
 # ---------------------------------------------------------------------------
 
-# entries per array in one chunk of inputs (512 KiB of int64 or float64)
-_CHUNK_ELEMENTS = 1 << 16
+# entries per array in one chunk of inputs (256 KiB); 2^14 to 2^18 run as fast, 2^18 at 5x the peak
+_CHUNK_ELEMENTS = 1 << 15
 
 
-def _survivor_counts(n: int, m: int):
-    """Yield ``(inputs, S)`` over chunks of the 2^n inputs.
+def _gather_bits(width: int, masks: np.ndarray) -> np.ndarray:
+    """``out[v, s]``: the bits of each width-bit value v at the set bits of masks[s], packed."""
+    values = np.arange(1 << width, dtype=np.int64)[:, None]
+    out = np.zeros((values.size, masks.size), dtype=np.int64)
+    rank = np.zeros(masks.size, dtype=np.int64)  # set bits of each mask below bit k
+    for k in range(width):
+        bit = (masks >> k) & 1
+        out |= ((values >> k) & bit) << rank
+        rank += bit
+    return out
 
-    ``S[i, y]`` counts the size-m keep sets of input ``inputs[i]`` whose
-    survivor string is ``y``.  Codes are little-endian: bit k of an input or
-    an output is its k-th symbol.
+
+def _survivor_counts(n: int, m: int, inputs: int):
+    """Yield ``(chunk, S)`` over chunks of the first ``inputs`` of the 2^n inputs.
+
+    ``S[i, y]`` counts the size-m keep sets of input ``chunk[i]`` whose
+    survivor string is ``y``, looked up for the first h symbols and the rest
+    in two small tables.  Codes are little-endian: bit k of an input or an
+    output is its k-th symbol.
     """
     masks = np.arange(1 << n, dtype=np.int64)
     masks = masks[np.bitwise_count(masks) == m]
-    # (C(n, m), m): the kept positions of each keep set, ascending
-    keep = np.nonzero((masks[:, None] >> np.arange(n)) & 1)[1].reshape(masks.size, m)
+    h = n // 2
+    low = masks & ((1 << h) - 1)
+    head = _gather_bits(h, low)
+    tail = _gather_bits(n - h, masks >> h) << np.bitwise_count(low).astype(np.int64)
     rows = max(1, _CHUNK_ELEMENTS // max(masks.size, 1 << m))
-    for start in range(0, 1 << n, rows):
-        inputs = np.arange(start, min(start + rows, 1 << n), dtype=np.int64)
+    for start in range(0, inputs, rows):
+        chunk = np.arange(start, min(start + rows, inputs), dtype=np.int64)
         # (row within the chunk, survivor code) as one bincount index
-        index = np.arange(inputs.size, dtype=np.int64)[:, None] << m
-        for k in range(m):
-            index = index | (((inputs[:, None] >> keep[:, k]) & 1) << k)
-        counts = np.bincount(index.ravel(), minlength=inputs.size << m)
-        yield inputs, counts.reshape(inputs.size, 1 << m)
+        index = head[chunk & ((1 << h) - 1)] | tail[chunk >> h]
+        index |= np.arange(chunk.size, dtype=np.int64)[:, None] << m
+        counts = np.bincount(index.ravel(), minlength=chunk.size << m)
+        yield chunk, counts.reshape(chunk.size, 1 << m)
 
 
-def _bsc(counts: np.ndarray, m: int, p_e: float) -> np.ndarray:
-    """Push each row, a law over {0,1}^m, through a BSC: one 2x2 step per bit.
+@lru_cache(maxsize=32)
+def _bsc_matrix(bits: int, p_e: float) -> np.ndarray:
+    """The BSC transition matrix on ``bits`` bits: the Kronecker power of one bit's."""
+    return reduce(np.kron, [np.array([[1.0 - p_e, p_e], [p_e, 1.0 - p_e]])] * bits, np.ones((1, 1)))
 
-    Every entry stays a sum of nonnegative terms, so unlike a Hadamard
-    factorisation no small probability can round below zero.
+
+def _bsc(counts: np.ndarray, p_e: float) -> np.ndarray:
+    """Push each row of ``counts``, a law over {0,1}^m, through a BSC.
+
+    The m-bit BSC matrix is the Kronecker product of the a- and b-bit ones
+    (a + b = m), applied as a matrix product on the low a bits and then, after
+    a transpose, on the other b.  Every entry stays a sum of nonnegative
+    terms, so unlike a Hadamard factorisation no small probability can round
+    below zero.
     """
     law = counts.astype(np.float64)
-    for k in range(m if p_e else 0):
-        pairs = law.reshape(law.shape[0], -1, 2, 1 << k)
-        a = pairs[:, :, 0, :].copy()
-        b = pairs[:, :, 1, :]
-        pairs[:, :, 0, :] = (1.0 - p_e) * a + p_e * b
-        pairs[:, :, 1, :] = p_e * a + (1.0 - p_e) * b
-    return law
+    rows, size = law.shape
+    m = size.bit_length() - 1
+    for bits in ((m + 1) // 2, m // 2) if p_e else ():
+        law = law.reshape(-1, 1 << bits) @ _bsc_matrix(bits, p_e)
+        law = law.reshape(rows, -1, 1 << bits).transpose(0, 2, 1)
+    return law.reshape(rows, size)
 
 
 def _slog(law: np.ndarray, axis=None):
@@ -200,17 +222,20 @@ def _deletion_sums(n: int, p_e: float) -> np.ndarray:
     For the per-input laws S = BSC(survivor counts) of length m and their
     aggregate T = sum_x S, column m holds sum_x sum_y S log2 S, sum_x sum_y S,
     sum_y T log2 T and sum_y T.  A length factor f > 0 then turns
-    sum f S log2(f S) into f (sum S log2 S + log2 f sum S).
+    sum f S log2(f S) into f (sum S log2 S + log2 f sum S).  The BSC commutes
+    with complementing, so only the inputs ending in 0 are enumerated, each
+    counted twice, and T is the BSC of the integer aggregate.
     """
     sums = np.zeros((4, n + 1))
     for m in range(n + 1):
-        slog, mass, aggregate = [], [], np.zeros(1 << m)
-        for _, counts in _survivor_counts(n, m):
-            law = _bsc(counts, m, p_e)
+        slog, mass, half = [], [], np.zeros(1 << m, dtype=np.int64)
+        for _, counts in _survivor_counts(n, m, 1 << (n - 1)):
+            law = _bsc(counts, p_e)
             slog.extend(_slog(law, axis=1).tolist())
             mass.extend(law.sum(axis=1).tolist())
-            aggregate += law.sum(axis=0)
-        sums[:, m] = math.fsum(slog), math.fsum(mass), _slog(aggregate), math.fsum(aggregate)
+            half += counts.sum(axis=0)
+        total = _bsc((half + half[::-1])[None, :], p_e)[0]
+        sums[:, m] = 2 * math.fsum(slog), 2 * math.fsum(mass), _slog(total), math.fsum(total)
     return sums
 
 
@@ -224,9 +249,12 @@ def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     element of entry m equalling 2^(n-m) * C(n, n-m).
     """
     _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
-    return tuple(
-        sum(counts.sum(axis=0) for _, counts in _survivor_counts(n, m)) for m in range(n + 1)
+    # complementing inputs complements survivors, 2^m - 1 - y: inputs ending in 1 add half[::-1]
+    halves = (
+        sum(counts.sum(axis=0) for _, counts in _survivor_counts(n, m, 1 << (n - 1)))
+        for m in range(n + 1)
     )
+    return tuple(half + half[::-1] for half in halves)
 
 
 def _bits_le(code: int, m: int) -> tuple[int, ...]:
@@ -256,7 +284,7 @@ def exact_deletion_law(
         for code in np.nonzero(agg)[0].tolist():
             marginal[_bits_le(code, m)] = int(agg[code]) * (factor * denom)
         if include_conditionals:
-            for inputs, counts in _survivor_counts(n, m):
+            for inputs, counts in _survivor_counts(n, m, 1 << n):
                 rows, codes = np.nonzero(counts)
                 for x, code, count in zip(
                     inputs[rows].tolist(), codes.tolist(), counts[rows, codes].tolist()
@@ -288,9 +316,7 @@ def exact_deletion_substitution_entropies(n: int, p_d: float, p_e: float) -> Ent
     bound = deletion_substitution_bound(n, p_d, p_e)
     prop_ub = n * (1.0 - p_d) - n * bound.rate
     chain = (
-        Comparison.make(
-            "output_entropy_identity", output, n * (1.0 - p_d) + h_t, "eq", 1e-9
-        ),
+        Comparison.make("output_entropy_identity", output, n * (1.0 - p_d) + h_t, "eq", 1e-9),
         Comparison.make("conditional_entropy_bound", prop_ub, conditional, "ge", 1e-12),
         Comparison.make("capacity_chain", bound.rate, (mutual - h_t) / n, "le", 1e-12),
     )
@@ -309,37 +335,51 @@ def _insertion_count_law(bits: Sequence[int]) -> list[np.ndarray]:
 
     Every (position-set, replacement-choice) event with j replacements has
     the same probability (p/4)^j (1-p)^(n-j), so integer counts determine the
-    conditional law for every p at once.  Codes are big-endian (first symbol
-    in the highest bit).
+    conditional law for every p at once.  A symbol 2 stands for both bit
+    values, summing the two inputs' counts.  Codes are big-endian.
     """
     laws: dict[int, np.ndarray] = {0: np.ones(1, dtype=np.int64)}
-    for b in bits:
+    for keep_weights in np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)[list(bits)]:
         new: dict[int, np.ndarray] = {}
         for m, arr in laws.items():
             keep = new.setdefault(m + 1, np.zeros(1 << (m + 1), dtype=np.int64))
-            keep.reshape(-1, 2)[:, int(b)] += arr
+            keep.reshape(-1, 2)[:, :] += arr[:, None] * keep_weights
             repl = new.setdefault(m + 2, np.zeros(1 << (m + 2), dtype=np.int64))
-            repl.reshape(-1, 4)[:, :] += arr[:, None]
+            repl.reshape(-1, 4)[:, :] += arr[:, None] * keep_weights.sum()
         laws = new
-    n = len(bits)
-    return [laws[n + j] for j in range(n + 1)]
+    return [laws[len(bits) + j] for j in range(len(bits) + 1)]
 
 
 @lru_cache(maxsize=MAX_INSERTION_N)
 def _insertion_tables(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(mean of sum_y c_j(x,y) log2 c_j(x,y) over x, aggregate counts per length)."""
+    """(mean of sum_y c_j(x,y) log2 c_j(x,y) over x, aggregate counts per length).
+
+    The mean needs only the histogram of count values over the outputs of x.
+    It is the same for x, its complement, its reversal and either last bit
+    b: the last step writes c[4q + 2r + s] = B[q] + [s == b] A[2q + r] from
+    the laws A, B of the first n - 1 bits one and two symbols shorter.  So
+    (by reversal, then complement) the first two bits do not matter either:
+    only the (n-1)-bit prefixes starting 0 0 are enumerated, and the last
+    step is folded into the histogram.
+    """
     _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
-    log_weight_mean = np.zeros(n + 1)
-    aggregate = [np.zeros(1 << (n + j), dtype=np.int64) for j in range(n + 1)]
-    for x in range(1 << n):
-        bits = _bits_le(x, n)
-        for j, arr in enumerate(_insertion_count_law(bits)):
-            aggregate[j] += arr
-            positive = arr[arr > 1]
-            if positive.size:
-                log_weight_mean[j] += float(np.sum(positive * np.log2(positive)))
-    log_weight_mean /= 1 << n
-    return log_weight_mean, tuple(aggregate)
+    aggregate = tuple(_insertion_count_law((2,) * n))
+    # no input's count exceeds the aggregate count of the same output
+    size = 1 + max(int(agg.max()) for agg in aggregate)
+    fixed = min(n - 1, 2)
+    histogram = np.zeros((n + 1, size), dtype=np.int64)
+    for prefix in range(0, 1 << (n - 1), 1 << fixed):
+        laws = _insertion_count_law(_bits_le(prefix, n - 1))
+        for j in range(n + 1):
+            values = laws[j] if j < n else 0  # A, or none
+            if j:  # B[q] twice where s != b, and added to A[2q + r] where s == b
+                histogram[j] += np.bincount(laws[j - 1], minlength=size) << 1
+                values = values + np.repeat(laws[j - 1], 2)
+            histogram[j] += np.bincount(values, minlength=size)
+    k = np.arange(2, size)
+    terms = (histogram[:, 2:] * (k * np.log2(k))).tolist()
+    log_weight_mean = np.array([math.fsum(row) for row in terms]) * 2.0 ** (fixed + 1 - n)
+    return log_weight_mean, aggregate
 
 
 def insertion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
@@ -354,16 +394,9 @@ def insertion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _insertion_alpha(n: int, p_i: float) -> np.ndarray:
-    """(p/4)^j (1-p)^(n-j) for j = 0..n, with exact endpoint handling."""
-    alpha = np.zeros(n + 1)
-    if p_i == 0.0:
-        alpha[0] = 1.0
-    elif p_i == 1.0:
-        alpha[n] = 0.25**n
-    else:
-        j = np.arange(n + 1)
-        alpha = (p_i / 4.0) ** j * (1.0 - p_i) ** (n - j)
-    return alpha
+    """(p/4)^j (1-p)^(n-j) for j = 0..n; 0^0 = 1 makes the endpoints exact."""
+    j = np.arange(n + 1)
+    return (p_i / 4.0) ** j * (1.0 - p_i) ** (n - j)
 
 
 def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
@@ -372,41 +405,25 @@ def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
         raise ValueError(f"p_i must lie in [0, 1], got {p_i!r}")
     log_weight_mean, aggregate = _insertion_tables(n)
     alpha = _insertion_alpha(n, p_i)
-    conditional = (
-        n * binary_entropy(p_i)
-        + 2.0 * n * p_i
-        - math.fsum(alpha[j] * log_weight_mean[j] for j in range(n + 1))
-    )
+    log_weight = math.fsum(alpha[j] * log_weight_mean[j] for j in range(n + 1))
+    conditional = n * binary_entropy(p_i) + 2.0 * n * p_i - log_weight
     weight = 1.0 / (1 << n)
     output_terms = []
-    for j, agg in enumerate(aggregate):
-        if alpha[j] == 0.0:
-            continue
-        probs = agg[agg > 0] * (alpha[j] * weight)
+    for j in np.nonzero(alpha)[0]:
+        probs = aggregate[j][aggregate[j] > 0] * (alpha[j] * weight)
         output_terms.append(float(np.sum(probs * np.log2(probs))))
     output = -math.fsum(output_terms)
     mutual = output - conditional
     h_t = block_entropy(n, p_i)
-    chain = [
-        Comparison.make("output_entropy_identity", output, n * (1.0 + p_i) + h_t, "eq", 1e-9)
-    ]
+    chain = [Comparison.make("output_entropy_identity", output, n * (1.0 + p_i) + h_t, "eq", 1e-9)]
     if n >= 2:
-        tabulated = random_insertion_bound(n, p_i)
-        exact_weight = insertion_bound_from_weight(
-            n, p_i, single_insertion_log_weight_exact(n)
-        )
-        for tag, bound in (("", tabulated), ("_exact_weight", exact_weight)):
-            prop_ub = n * (1.0 + p_i) - n * bound.rate
-            chain.append(
-                Comparison.make(
-                    f"conditional_entropy_bound{tag}", prop_ub, conditional, "ge", 1e-12
-                )
-            )
-            chain.append(
-                Comparison.make(
-                    f"capacity_chain{tag}", bound.rate, (mutual - h_t) / n, "le", 1e-12
-                )
-            )
+        exact_weight = insertion_bound_from_weight(n, p_i, single_insertion_log_weight_exact(n))
+        for tag, bound in (("", random_insertion_bound(n, p_i)), ("_exact_weight", exact_weight)):
+            ub, rate = n * (1.0 + p_i) - n * bound.rate, (mutual - h_t) / n
+            chain += [
+                Comparison.make("conditional_entropy_bound" + tag, ub, conditional, "ge", 1e-12),
+                Comparison.make("capacity_chain" + tag, bound.rate, rate, "le", 1e-12),
+            ]
     return EntropyReport(
         "random_insertion", n, output, conditional, mutual, h_t, tuple(chain), "float64"
     )
@@ -415,19 +432,18 @@ def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
 def exact_insertion_conditional_law(
     bits: Sequence[int], p_i: float
 ) -> dict[tuple[int, ...], float]:
-    """Exact law of the insertion-channel output for one fixed input."""
-    bits = tuple(int(b) for b in bits)
+    """Exact law of the insertion-channel output for one fixed input of 0s and 1s."""
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
     n = len(bits)
     _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
     alpha = _insertion_alpha(n, p_i)
     law: dict[tuple[int, ...], float] = {}
-    for j, arr in enumerate(_insertion_count_law(bits)):
+    for j, arr in enumerate(_insertion_count_law([int(b) for b in bits])):
         if alpha[j] == 0.0:
             continue
-        m = n + j
         for code in np.nonzero(arr)[0]:
-            key = tuple((int(code) >> (m - 1 - i)) & 1 for i in range(m))
-            law[key] = int(arr[int(code)]) * alpha[j]
+            law[_bits_le(code, n + j)[::-1]] = int(arr[int(code)]) * alpha[j]
     return law
 
 

@@ -76,6 +76,19 @@ class TestBoundCommand:
         assert payload["components"]["awgn_penalty"] == -(1 - 0.1) * 1.0
         assert math.isfinite(payload["rate"])
 
+    @pytest.mark.parametrize("snr_db", [-40.0, -3.0, 0.0, 3.0, 13.70594, 40.0, -3200.0, -6160.0])
+    def test_in_range_snr_maps_to_the_same_sigma(self, snr_db):
+        assert cli._sigma_from_snr_db(snr_db) == 10.0 ** (-snr_db / 20.0)
+
+    def test_snr_beyond_float_range_is_an_error(self, capsys):
+        # sigma = 10^350 exceeds the float range
+        code, out, err = run_cli(
+            capsys, "bound", "--method", "del-awgn", "--n", "100", "--pd", "0.1", "--snr-db=-7000"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--snr-db" in err
+
     def test_conflicting_noise_flags(self, capsys):
         code, _, err = run_cli(
             capsys, "bound", "--method", "del-awgn", "--n", "10",
@@ -168,6 +181,15 @@ class TestSweepCommand:
         assert code == 2
         assert "at most one" in err
         assert out == ""
+
+    @pytest.mark.parametrize("snr_axis", ["-7000", "0,-7000", "-7000:0:3:lin"])
+    def test_snr_beyond_float_range_is_an_error(self, capsys, snr_axis):
+        code, out, err = run_cli(
+            capsys, "sweep", "--method", "del-awgn", "--pd", "0.1", "--n", "100",
+            f"--snr-db={snr_axis}",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_non_integer_block_length(self, capsys):
         code, out, err = run_cli(
@@ -312,6 +334,14 @@ class TestOptimizeCommand:
         )
         assert code == 0
         assert math.isfinite(json.loads(out)["rate"])
+
+    def test_snr_beyond_float_range_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "optimize", "--method", "del-awgn", "--pd", "0.1", "--n-max", "50",
+            "--snr-db=-7000",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_custom_floor(self, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,8 @@
 import math
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import chain, combinations, product
 from math import comb
 
 import numpy as np
@@ -50,6 +52,104 @@ def brute_deletion_substitution_entropies(n, p_d, p_e):
             marginal[y] = marginal.get(y, 0.0) + prob / 2**n
     output = -math.fsum(p * math.log2(p) for p in marginal.values())
     return output, conditional, output - conditional
+
+
+@lru_cache(maxsize=None)
+def brute_insertion_counts(bits):
+    """Map each output of ``bits`` to its number of events.
+
+    An event keeps each symbol or replaces it by one of the four bit pairs;
+    the output length n + j fixes the number j of replaced symbols.
+    """
+    pairs = list(product((0, 1), repeat=2))
+    events = product(*([(b,)] + pairs for b in bits))
+    return Counter(tuple(chain.from_iterable(event)) for event in events)
+
+
+def brute_insertion_entropies(n, p_i):
+    """(H(Y), H(Y|X), I(X;Y)) from dict laws over every insertion event of every input."""
+    marginal = {}
+    conditional = 0.0
+    for x in product((0, 1), repeat=n):
+        law = {}
+        for y, count in brute_insertion_counts(x).items():
+            j = len(y) - n
+            prob = count * (p_i / 4) ** j * (1 - p_i) ** (n - j)
+            if prob > 0:
+                law[y] = prob
+        conditional -= math.fsum(p * math.log2(p) for p in law.values()) / 2**n
+        for y, prob in law.items():
+            marginal[y] = marginal.get(y, 0.0) + prob / 2**n
+    output = -math.fsum(p * math.log2(p) for p in marginal.values())
+    return output, conditional, output - conditional
+
+
+@lru_cache(maxsize=None)
+def bsc_matrix(m, p_e):
+    """The m-bit BSC transition matrix from the Hamming distance of every code pair."""
+    codes = np.arange(1 << m)
+    distance = np.bitwise_count(codes[:, None] ^ codes[None, :]).astype(float)
+    return p_e**distance * (1 - p_e) ** (m - distance)
+
+
+@lru_cache(maxsize=None)
+def per_input_survivor_counts(n):
+    """For every input, its survivor counts per length m from every keep set."""
+    per_input = []
+    for x in all_bit_strings(n):
+        counts = [np.zeros(1 << m) for m in range(n + 1)]
+        for y, count in brute_subsequence_counts(x).items():
+            counts[len(y)][sum(b << k for k, b in enumerate(y))] += count
+        per_input.append(counts)
+    return per_input
+
+
+def per_input_deletion_sums(n, p_e):
+    """The oracle's (4, n + 1) p_d-free sums, by a loop over all 2^n inputs.
+
+    Each input's BSC law comes from the explicit Hamming-distance matrix.
+    """
+    slog = [[] for _ in range(n + 1)]
+    mass = [[] for _ in range(n + 1)]
+    aggregate = [np.zeros(1 << m) for m in range(n + 1)]
+    for counts in per_input_survivor_counts(n):
+        for m in range(n + 1):
+            law = counts[m] @ bsc_matrix(m, p_e)
+            positive = law[law > 0]
+            slog[m].append(float(np.sum(positive * np.log2(positive))))
+            mass[m].append(float(law.sum()))
+            aggregate[m] += law
+    sums = np.zeros((4, n + 1))
+    for m in range(n + 1):
+        positive = aggregate[m][aggregate[m] > 0]
+        sums[:, m] = (
+            math.fsum(slog[m]),
+            math.fsum(mass[m]),
+            math.fsum(positive * np.log2(positive)),
+            math.fsum(aggregate[m]),
+        )
+    return sums
+
+
+# H(Y), H(Y|X) and I(X;Y) recorded with the earlier kernels (a per-bit BSC
+# over every input, and a loop over every insertion input)
+RECORDED_DELETION_N12 = {
+    (0.01, 0.0): (12.426663172890244, 0.8327578625799367, 11.593905310310307),
+    (0.01, 0.05): (12.426663172890258, 4.17356803068576, 8.253095142204497),
+    (0.1, 0.0): (12.791209728020219, 4.303954681591918, 8.4872550464283),
+    (0.1, 0.05): (12.79120972802022, 6.855565869786052, 5.935643858234168),
+    (0.3, 0.0): (11.102084215609379, 7.003289954480333, 4.098794261129046),
+    (0.3, 0.05): (11.102084215609375, 8.26273994857048, 2.8393442670388946),
+}
+RECORDED_INSERTION_N9 = {
+    0.01: (9.536024063910178, 0.808975843495921, 8.727048220414257),
+    0.1: (11.659226479783834, 5.076835152886874, 6.5823913268969605),
+    0.3: (14.187817201592551, 10.824588104689557, 3.3632290969029945),
+}
+
+
+def entropies(report):
+    return report.output_entropy, report.conditional_entropy, report.mutual_information
 
 
 class TestExactDeletionLaw:
@@ -179,6 +279,74 @@ class TestDeletionSubstitutionEntropies:
                 for p_e in (0.0, 0.05):
                     exact_deletion_substitution_entropies(n, p_d, p_e)
         assert exact_deletion_substitution_entropies(9, 0.1, 0.05) == cold
+
+
+class TestDeletionKernel:
+    @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
+    def test_sums_match_a_per_input_loop(self, p_e):
+        for n in range(1, 9):
+            got, expected = oracle._deletion_sums(n, p_e), per_input_deletion_sums(n, p_e)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-11)
+
+    @pytest.mark.parametrize("p_d,p_e", sorted(RECORDED_DELETION_N12))
+    def test_largest_reports_are_unchanged(self, p_d, p_e):
+        report = exact_deletion_substitution_entropies(12, p_d, p_e)
+        assert entropies(report) == pytest.approx(RECORDED_DELETION_N12[p_d, p_e], rel=0, abs=1e-12)
+        assert report.all_hold
+
+
+class TestInsertionKernel:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_equal_per_input_sums(self, n):
+        laws = [oracle._insertion_count_law(x) for x in all_bit_strings(n)]
+        log_weight_mean, aggregate = oracle._insertion_tables(n)
+        for j in range(n + 1):
+            counts = [law[j] for law in laws]
+            assert aggregate[j].dtype == np.int64
+            assert np.array_equal(aggregate[j], sum(counts))
+            per_input = math.fsum(float(np.sum(c[c > 1] * np.log2(c[c > 1]))) for c in counts)
+            assert log_weight_mean[j] == pytest.approx(per_input / 2**n, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_count_law_matches_every_event(self, n):
+        for x in all_bit_strings(n):
+            expected = brute_insertion_counts(x)
+            for j, arr in enumerate(oracle._insertion_count_law(x)):
+                for code, count in enumerate(arr.tolist()):
+                    y = tuple((code >> (n + j - 1 - i)) & 1 for i in range(n + j))
+                    assert count == expected.get(y, 0)
+
+    @pytest.mark.parametrize("p_i", [0.0, 0.01, 0.3, 1.0])
+    def test_entropies_match_brute_force(self, p_i):
+        for n in range(1, 7):
+            expected = brute_insertion_entropies(n, p_i)
+            assert entropies(exact_insertion_entropies(n, p_i)) == pytest.approx(
+                expected, rel=0, abs=1e-12
+            )
+
+    @pytest.mark.parametrize("p_i", sorted(RECORDED_INSERTION_N9))
+    def test_largest_reports_are_unchanged(self, p_i):
+        report = exact_insertion_entropies(9, p_i)
+        assert entropies(report) == pytest.approx(RECORDED_INSERTION_N9[p_i], rel=0, abs=1e-12)
+
+    def test_tables_enumerate_a_quarter_of_the_prefixes(self, monkeypatch):
+        # every (n-1)-bit prefix would be 256 calls at n = 9, and every input 512
+        calls = []
+        count_law = oracle._insertion_count_law
+
+        def counted(bits):
+            calls.append(bits)
+            return count_law(bits)
+
+        monkeypatch.setattr(oracle, "_insertion_count_law", counted)
+        oracle._insertion_tables.cache_clear()
+        exact_insertion_entropies(9, 0.1)
+        assert 0 < len(calls) <= 2**7
+
+    @pytest.mark.parametrize("bits", [(0, 2, 1), (0.5, 1), (-1,)])
+    def test_conditional_law_rejects_non_bits(self, bits):
+        with pytest.raises(ValueError, match="bits"):
+            exact_insertion_conditional_law(bits, 0.1)
 
 
 class TestInsertionEntropies:
