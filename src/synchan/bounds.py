@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from math import comb
 from typing import Callable
 
@@ -141,27 +142,55 @@ def _check_block_length(n: int, minimum: int = 1) -> None:
         raise ValueError(f"block length must be >= {minimum}, got {n}")
 
 
-def _deletion_components(n: int, p_d: float, p_e: float = 0.0, sigma: float = 0.0) -> dict[str, float]:
-    """Check n, then the parameters; return the terms every deletion-family bound shares."""
-    _check_block_length(n)
-    ChannelParams(p_d=p_d, p_e=p_e, sigma=sigma)
-    return {
-        "base": 1.0 - p_d,
-        "block_entropy_penalty": -binary_entropy(p_d),
-        "pattern_gain": _pattern_gain(n, p_d),
+# the component each deletion-family bound adds to the shared three: its name,
+# the axis of its parameter and the function of it that -(1 - p_d) multiplies
+_DELETION_PENALTIES = {
+    "deletion": None,
+    "deletion_substitution": ("substitution_penalty", "p_e", lambda p_e: binary_entropy(p_e)),
+    "deletion_awgn": (
+        "awgn_penalty", "sigma", lambda sigma: 0.0 if sigma == 0.0 else awgn_expectation(sigma)
+    ),
+}
+
+
+def _on_grid(f: Callable, axes: dict, names) -> np.ndarray:
+    """``f(**point)`` at each point of the named axes' product, shaped to broadcast over axes."""
+    values = [f(**dict(zip(names, point))) for point in product(*(axes[name] for name in names))]
+    shape = [len(axis) if name in names else 1 for name, axis in axes.items()]
+    return np.array(values, dtype=float).reshape(shape)
+
+
+def _deletion_components(method: str, axes: dict) -> dict[str, np.ndarray]:
+    """A deletion-family bound's components, each once per value of the axes it reads."""
+    keep = 1.0 - _on_grid(lambda p_d: p_d, axes, ["p_d"])
+    components = {
+        "base": keep,
+        "block_entropy_penalty": -_on_grid(lambda p_d: binary_entropy(p_d), axes, ["p_d"]),
+        "pattern_gain": _on_grid(lambda p_d, n: _pattern_gain(n, p_d), axes, ["p_d", "n"]),
     }
+    if _DELETION_PENALTIES[method] is not None:
+        name, axis, factor = _DELETION_PENALTIES[method]
+        components[name] = -keep * _on_grid(factor, axes, [axis])
+    return components
+
+
+def _deletion_family_bound(method: str, n: int, p_d: float, **extra: float) -> BoundResult:
+    """Check n, then the parameters; evaluate the bound on its one-point grid."""
+    _check_block_length(n)
+    ChannelParams(p_d=p_d, **extra)
+    point = dict(p_d=p_d, n=n, **extra)
+    components = _deletion_components(method, {name: [value] for name, value in point.items()})
+    return BoundResult.from_components(method, n, {k: v.item() for k, v in components.items()})
 
 
 def deletion_substitution_bound(n: int, p_d: float, p_e: float) -> BoundResult:
     """Finite-block capacity lower bound for the deletion-substitution channel."""
-    components = _deletion_components(n, p_d, p_e=p_e)
-    components["substitution_penalty"] = -(1.0 - p_d) * binary_entropy(p_e)
-    return BoundResult.from_components("deletion_substitution", n, components)
+    return _deletion_family_bound("deletion_substitution", n, p_d, p_e=p_e)
 
 
 def deletion_bound(n: int, p_d: float) -> BoundResult:
     """Deletion-only capacity lower bound (substitution probability zero)."""
-    return BoundResult.from_components("deletion", n, _deletion_components(n, p_d))
+    return _deletion_family_bound("deletion", n, p_d)
 
 
 def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
@@ -197,10 +226,7 @@ def deletion_bound_small_p(n: int, p_d: float) -> BoundResult:
 
 def deletion_awgn_bound(n: int, p_d: float, sigma: float) -> BoundResult:
     """Capacity lower bound for the deletion channel cascaded with BI-AWGN."""
-    components = _deletion_components(n, p_d, sigma=sigma)
-    penalty = 0.0 if sigma == 0.0 else awgn_expectation(sigma)
-    components["awgn_penalty"] = -(1.0 - p_d) * penalty
-    return BoundResult.from_components("deletion_awgn", n, components)
+    return _deletion_family_bound("deletion_awgn", n, p_d, sigma=sigma)
 
 
 def insertion_bound_from_weight(n: int, p_i: float, weight: float) -> BoundResult:
@@ -213,15 +239,19 @@ def insertion_bound_from_weight(n: int, p_i: float, weight: float) -> BoundResul
     _check_block_length(n, 2)
     params = ChannelParams.insertion(p_i)
     p = params.p_i
-    q = p * (1.0 - p) ** (n - 1)
-    multi_mass = -math.fsum(
-        [-1.0, (1.0 - p) ** n, n * q, p**n, n * p ** (n - 1) * (1.0 - p)]
-    )
+    # (1-p)^k as exp(k log1p(-p)): where p is below an ulp of 1, 1 - p rounds
+    # to 1.0 and would drop the -n*p that cancels the single-insertion +n*q
+    log_keep = math.log1p(-p) if p < 1.0 else -math.inf
+    base = math.exp(n * log_keep)
+    q = p * math.exp((n - 1) * log_keep)
+    # the mass of 2 to n-2 insertions, by cancellation: its error of an ulp
+    # of 1 can take it below 0 where it is tiny
+    multi_mass = max(0.0, -math.fsum([-1.0, base, n * q, p**n, n * p ** (n - 1) * (1.0 - p)]))
     return BoundResult.from_components(
         "random_insertion",
         n,
         {
-            "base": (1.0 - p) ** n,
+            "base": base,
             "block_entropy_penalty": -binary_entropy(p),
             "single_insertion_gain": (weight - (3 * n + 1) / (4 * n) + n) * q,
             "multi_insertion_gain": multi_mass * math.log2(n * (n - 1) / 2) / n,
@@ -295,6 +325,61 @@ def evaluate_bound(method: str, params: ChannelParams, n: int | None = None) -> 
     if n is None:
         raise ValueError(f"method {method!r} requires a block length")
     return _EVALUATORS[method](n, params)
+
+
+# the axes each bound outside the deletion family reads
+_GRID_READS = {
+    "gallager": ("p_d", "p_e", "p_i"),
+    "random_insertion": ("p_i", "n"),
+    "deletion_small_p": ("p_d", "n"),
+    "random_insertion_small_p": ("p_i", "n"),
+}
+
+
+def _raises(f: Callable, **kwargs) -> bool:
+    try:
+        f(**kwargs)
+    except ValueError:
+        return True
+    return False
+
+
+def _grid_rates(methods: list[str], p_d, p_e, p_i, sigma, n) -> list[np.ndarray]:
+    """Each method's rate at every point of the grid p_d x p_e x p_i x sigma x n.
+
+    Bit for bit ``evaluate_bound(method, ChannelParams(p_d, p_e, p_i, sigma), n).rate``,
+    with each component computed once per value of the axes it reads.  An
+    invalid grid raises the error of its first invalid point, as evaluation
+    there would, taking the methods in turn.
+    """
+    axes = dict(p_d=p_d, p_e=p_e, p_i=p_i, sigma=sigma, n=n)
+    # ChannelParams rejects a point for p_d and p_i, p_e or sigma, and a
+    # method's block-length check reads no channel parameter
+    probes = [(names, ChannelParams) for names in (["p_d", "p_i"], ["p_e"], ["sigma"])]
+    probes.append((["n"], lambda n: [evaluate_bound(m, ChannelParams(), n) for m in methods]))
+    rejected = sum(_on_grid(partial(_raises, f), axes, names) for names, f in probes) > 0
+    if rejected.any():
+        first = np.unravel_index(rejected.argmax(), rejected.shape)
+        point = [axis[i] for axis, i in zip(axes.values(), first)]
+        for method in methods:
+            evaluate_bound(method, ChannelParams(*point[:4]), point[4])
+    if rejected.size == 0:
+        return [np.empty(rejected.shape) for _ in methods]
+    grids = []
+    for method in methods:
+        if method in _DELETION_PENALTIES:
+            # each point's math.fsum of its components, as in BoundResult.from_components
+            points = np.broadcast(*_deletion_components(method, axes).values())
+            rates = np.fromiter(map(math.fsum, points), float, points.size).reshape(points.shape)
+        else:
+            rates = _on_grid(
+                lambda n=None, **params: evaluate_bound(method, ChannelParams(**params), n).rate,
+                axes,
+                _GRID_READS[method],
+            )
+        grids.append(np.broadcast_to(rates, rejected.shape))
+    return grids
+
 
 # the multi-insertion penalty term log2(n(n-1)/2) vanishes at n = 2, which
 # makes the n = 2 insertion value spuriously dominate every scan; the

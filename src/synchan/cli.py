@@ -19,7 +19,7 @@ import sys
 from itertools import product
 from typing import Sequence
 
-from .bounds import ChannelParams, evaluate_bound, optimize_block_length
+from .bounds import ChannelParams, _grid_rates, evaluate_bound, optimize_block_length
 from .reference_tables import CellDiff, table1_diffs, table2_diffs
 from .verification import Check, run_scopes
 
@@ -228,24 +228,23 @@ def cmd_sweep(args) -> int:
     needs_n = [m for m in internal if m != "gallager"]
     if needs_n and n_axis == [None]:
         raise ValueError(f"--n is required for methods {needs_n}")
-    grid = list(product(pd_axis, pe_axis, pi_axis, sigma_axis, n_axis))
-
-    rates = [
-        [evaluate_bound(m, ChannelParams(p_d, p_e, p_i, sigma), n).rate for m in internal]
-        for p_d, p_e, p_i, sigma, n in grid
-    ]
+    rates = _grid_rates(internal, pd_axis, pe_axis, pi_axis, sigma_axis, n_axis)
+    columns = (
+        [f"{p_d:.8g}" for p_d in pd_axis],
+        [f"{p_e:.8g}" for p_e in pe_axis],
+        [f"{p_i:.8g}" for p_i in pi_axis],
+        [(f"{s:.8g}", f"{-20.0 * math.log10(s):.8g}" if s > 0 else "") for s in sigma_axis],
+        ["" if n is None else str(n) for n in n_axis],
+    )
+    rate_rows = zip(*(grid.ravel().tolist() for grid in rates))
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["p_d", "p_e", "p_i", "sigma", "snr_db", "n"] + methods)
-        for point, row in zip(grid, rates):
-            p_d, p_e, p_i, sigma, n = point
-            snr = f"{-20.0 * math.log10(sigma):.8g}" if sigma > 0 else ""
-            writer.writerow(
-                [f"{p_d:.8g}", f"{p_e:.8g}", f"{p_i:.8g}", f"{sigma:.8g}", snr]
-                + ["" if n is None else str(n)]
-                + [f"{r:.8g}" for r in row]
-            )
+        writer.writerows(
+            [p_d, p_e, p_i, *sigma, n] + [f"{r:.8g}" for r in row]
+            for (p_d, p_e, p_i, sigma, n), row in zip(product(*columns), rate_rows)
+        )
     finally:
         if out is not sys.stdout:
             out.close()

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import compress, product
 from math import comb
 from typing import Mapping, Sequence
 
@@ -442,8 +443,11 @@ def exact_insertion_conditional_law(
     for j, arr in enumerate(_insertion_count_law([int(b) for b in bits])):
         if alpha[j] == 0.0:
             continue
-        for code in np.nonzero(arr)[0]:
-            law[_bits_le(code, n + j)[::-1]] = int(arr[int(code)]) * alpha[j]
+        # product yields every (n+j)-bit row in big-endian code order, so
+        # compress keeps the nonzero codes' rows without a step per code
+        kept = arr != 0
+        rows = compress(product((0, 1), repeat=n + j), kept.tolist())
+        law.update(zip(rows, (arr[kept] * alpha[j]).tolist()))
     return law
 
 

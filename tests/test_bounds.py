@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synchan.bounds import (
     ChannelParams,
@@ -320,6 +320,8 @@ _BOUNDS = {
     q=_PROBABILITIES,
     sigma=st.one_of(st.just(0.0), st.floats(-3.0, 300.0).map(lambda e: 10.0**e)),
 )
+# 1 - p rounds to 1.0 here
+@example(method="random_insertion", n=251, p=6.299594023157632e-19, q=0.0, sigma=0.0)
 def test_bounds_are_finite_component_sums_at_most_one(method, n, p, q, sigma):
     try:
         result = _BOUNDS[method](n, p, q, sigma)
@@ -328,6 +330,7 @@ def test_bounds_are_finite_component_sums_at_most_one(method, n, p, q, sigma):
     assert all(math.isfinite(v) for v in result.components.values())
     assert result.rate == math.fsum(result.components.values())
     assert result.rate <= 1.0
+    assert result.components.get("multi_insertion_gain", 0.0) >= 0.0
 
 
 def test_evaluate_bound_requires_block_length():

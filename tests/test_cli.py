@@ -2,9 +2,11 @@ import csv
 import json
 import math
 import textwrap
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from synchan import bounds, cli
 from synchan.bounds import ChannelParams, evaluate_bound, gallager_bound
@@ -222,12 +224,14 @@ class TestSweepCommand:
         # reference value with the memo and the W_j tables emptied first
         evaluated = []
 
-        def recording(method, params, n):
-            result = evaluate_bound(method, params, n)
-            evaluated.append([method, params.p_d, params.p_e, params.sigma, n, result.rate])
-            return result
+        def recording(methods, *axes):
+            grids = bounds._grid_rates(methods, *axes)
+            for method, grid in zip(methods, grids):
+                for (p_d, p_e, _, sigma, n), rate in zip(product(*axes), grid.ravel().tolist()):
+                    evaluated.append([method, p_d, p_e, sigma, n, rate])
+            return grids
 
-        monkeypatch.setattr(cli, "evaluate_bound", recording)
+        monkeypatch.setattr(cli, "_grid_rates", recording)
         code, _, _ = run_cli(
             capsys, "sweep", "--method", "del-sub", "--method", "deletion", "--method", "del-awgn",
             "--pd", "0.01,0.1", "--pe", "0,0.03", "--snr-db", "0,10", "--n", "100,1000",
@@ -254,6 +258,27 @@ class TestSweepCommand:
         result = run_python("-c", script, json.dumps(evaluated))
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout) == [row[-1] for row in evaluated]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--pd", "0.1,1.5"], "p_d must lie in [0, 1], got 1.5"),
+            (["--pd", "0.1", "--pe", "0,2"], "p_e must lie in [0, 1], got 2.0"),
+            (["--pd", "0.6", "--pi", "0.5"], "p_d + p_i must not exceed 1, got 1.1"),
+            (["--n", "0,5"], "block length must be >= 1, got 0"),
+            (["--sigma", "-1"], "sigma must be finite and nonnegative, got -1.0"),
+            # the first invalid point decides: its block length, not the later p_d
+            (["--pd", "0.1,1.5", "--n", "3"], "block length must be >= 4, got 3"),
+        ],
+    )
+    def test_invalid_grid_reports_its_first_invalid_point(self, capsys, flags, message):
+        argv = ["sweep", "--method", "deletion", "--method", "ins-small-p", "--method", "gallager"]
+        defaults = {"--pd": "0.1", "--n": "10"}
+        for flag, value in defaults.items():
+            if flag not in flags:
+                argv += [flag, value]
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_log_axis_parsing(self):
         axis = cli._parse_axis("1e-4:1e-1:4:log")
@@ -364,3 +389,45 @@ def test_gallager_text_output(capsys):
     assert code == 0
     reference = gallager_bound(ChannelParams.deletion_substitution(0.05, 0.03)).rate
     assert f"{reference:.6g}" in out
+
+
+def _point_rates(methods, *axes):
+    """The rates of evaluate_bound at each grid point in grid order, the methods in turn."""
+    return [
+        [evaluate_bound(m, ChannelParams(p_d, p_e, p_i, sigma), n).rate.hex() for m in methods]
+        for p_d, p_e, p_i, sigma, n in product(*axes)
+    ]
+
+
+# short axes with points at 0 and 1; p_i stays small, so that most grids are valid
+_P_AXIS = st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=3)
+_P_I_AXIS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.5)), min_size=1, max_size=2)
+
+
+@pytest.mark.parametrize("method", sorted(cli._METHODS.values()))
+@settings(max_examples=40, deadline=None)
+@given(
+    others=st.lists(st.sampled_from(sorted(cli._METHODS.values())), max_size=2),
+    p_d=_P_AXIS,
+    p_e=_P_AXIS,
+    p_i=_P_I_AXIS,
+    sigma=st.lists(st.one_of(st.just(0.0), st.floats(0.05, 5.0)), min_size=1, max_size=3),
+    n=st.lists(st.integers(1, 40), min_size=1, max_size=3),
+    # one axis in three grids is empty
+    emptied=st.sampled_from((None,) * 10 + tuple(range(5))),
+)
+def test_grid_rates_equal_point_evaluations(method, others, p_d, p_e, p_i, sigma, n, emptied):
+    methods, axes = [method, *others], [p_d, p_e, p_i, sigma, n]
+    if emptied is not None:
+        axes[emptied] = []
+    try:
+        expected = _point_rates(methods, *axes)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            bounds._grid_rates(methods, *axes)
+        assert str(raised.value) == str(exc)
+        return
+    grids = bounds._grid_rates(methods, *axes)
+    assert all(grid.shape == tuple(map(len, axes)) for grid in grids)
+    rates = zip(*(grid.ravel().tolist() for grid in grids))
+    assert [[rate.hex() for rate in row] for row in rates] == expected
