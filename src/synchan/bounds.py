@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,8 +52,11 @@ class ChannelParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-        if self.p_d + self.p_i > 1.0:
-            raise ValueError(f"p_d + p_i must not exceed 1, got {self.p_d + self.p_i!r}")
+        # as the bounds evaluate it: the sum p_d + p_i can round to 1 where this is below 0
+        if 1.0 - self.p_d - self.p_i < 0.0:
+            raise ValueError(
+                f"p_d + p_i must not exceed 1, got p_d={self.p_d!r} and p_i={self.p_i!r}"
+            )
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
@@ -97,25 +100,25 @@ def _xlog2x(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log2(x)
 
 
+def _gallager_components(p_d: float, p_e: float, p_i: float) -> dict[str, float]:
+    p_c = (1.0 - p_d - p_i) * (1.0 - p_e)
+    p_s = (1.0 - p_d - p_i) * p_e
+    return {
+        "base": 1.0,
+        "deletion_term": _xlog2x(p_d),
+        "insertion_term": _xlog2x(p_i),
+        "correct_term": _xlog2x(p_c),
+        "flip_term": _xlog2x(p_s),
+    }
+
+
 def gallager_bound(params: ChannelParams) -> BoundResult:
     """Convolutional-coding achievable rate for insertion/deletion/substitution errors.
 
     1 + p_d log p_d + p_i log p_i + p_c log p_c + p_s log p_s, with
     p_c = (1-p_d-p_i)(1-p_e) and p_s = (1-p_d-p_i) p_e.
     """
-    p_c = (1.0 - params.p_d - params.p_i) * (1.0 - params.p_e)
-    p_s = (1.0 - params.p_d - params.p_i) * params.p_e
-    return BoundResult.from_components(
-        "gallager",
-        None,
-        {
-            "base": 1.0,
-            "deletion_term": _xlog2x(params.p_d),
-            "insertion_term": _xlog2x(params.p_i),
-            "correct_term": _xlog2x(p_c),
-            "flip_term": _xlog2x(p_s),
-        },
-    )
+    return evaluate_bound("gallager", params)
 
 
 # pmf terms within 2^-50 of the modal term keep the truncation error of the
@@ -137,65 +140,61 @@ def _pattern_gain(n: int, p_d: float) -> float:
     return math.fsum(weights * np.exp2(lp[lo : hi + 1])) / n
 
 
-def _check_block_length(n: int, minimum: int = 1) -> None:
-    if n < minimum:
-        raise ValueError(f"block length must be >= {minimum}, got {n}")
-
-
 # the component each deletion-family bound adds to the shared three: its name,
 # the axis of its parameter and the function of it that -(1 - p_d) multiplies
 _DELETION_PENALTIES = {
     "deletion": None,
     "deletion_substitution": ("substitution_penalty", "p_e", lambda p_e: binary_entropy(p_e)),
-    "deletion_awgn": (
-        "awgn_penalty", "sigma", lambda sigma: 0.0 if sigma == 0.0 else awgn_expectation(sigma)
-    ),
+    "deletion_awgn": ("awgn_penalty", "sigma", lambda s: 0.0 if s == 0.0 else awgn_expectation(s)),
 }
 
 
-def _on_grid(f: Callable, axes: dict, names) -> np.ndarray:
-    """``f(**point)`` at each point of the named axes' product, shaped to broadcast over axes."""
-    values = [f(**dict(zip(names, point))) for point in product(*(axes[name] for name in names))]
+def _on_grid(f: Callable, axes: dict, names) -> dict[str, np.ndarray]:
+    """Each entry of ``f(**point)`` over the named axes, shaped to broadcast over nonempty axes."""
     shape = [len(axis) if name in names else 1 for name, axis in axes.items()]
-    return np.array(values, dtype=float).reshape(shape)
+    points = [f(**dict(zip(names, point))) for point in product(*(axes[name] for name in names))]
+    return {key: np.array([p[key] for p in points], float).reshape(shape) for key in points[0]}
 
 
 def _deletion_components(method: str, axes: dict) -> dict[str, np.ndarray]:
     """A deletion-family bound's components, each once per value of the axes it reads."""
-    keep = 1.0 - _on_grid(lambda p_d: p_d, axes, ["p_d"])
-    components = {
-        "base": keep,
-        "block_entropy_penalty": -_on_grid(lambda p_d: binary_entropy(p_d), axes, ["p_d"]),
-        "pattern_gain": _on_grid(lambda p_d, n: _pattern_gain(n, p_d), axes, ["p_d", "n"]),
-    }
+    components = _on_grid(lambda p_d: {"base": 1.0 - p_d}, axes, ["p_d"])
+    entropy = _on_grid(lambda p_d: {"block_entropy_penalty": -binary_entropy(p_d)}, axes, ["p_d"])
+    gain = _on_grid(lambda p_d, n: {"pattern_gain": _pattern_gain(n, p_d)}, axes, ["p_d", "n"])
+    components |= entropy | gain
     if _DELETION_PENALTIES[method] is not None:
         name, axis, factor = _DELETION_PENALTIES[method]
-        components[name] = -keep * _on_grid(factor, axes, [axis])
+        values = _on_grid(lambda **point: {name: factor(point[axis])}, axes, [axis])
+        components[name] = -components["base"] * values[name]
     return components
-
-
-def _deletion_family_bound(method: str, n: int, p_d: float, **extra: float) -> BoundResult:
-    """Check n, then the parameters; evaluate the bound on its one-point grid."""
-    _check_block_length(n)
-    ChannelParams(p_d=p_d, **extra)
-    point = dict(p_d=p_d, n=n, **extra)
-    components = _deletion_components(method, {name: [value] for name, value in point.items()})
-    return BoundResult.from_components(method, n, {k: v.item() for k, v in components.items()})
 
 
 def deletion_substitution_bound(n: int, p_d: float, p_e: float) -> BoundResult:
     """Finite-block capacity lower bound for the deletion-substitution channel."""
-    return _deletion_family_bound("deletion_substitution", n, p_d, p_e=p_e)
+    return evaluate_bound("deletion_substitution", ChannelParams.deletion_substitution(p_d, p_e), n)
 
 
 def deletion_bound(n: int, p_d: float) -> BoundResult:
     """Deletion-only capacity lower bound (substitution probability zero)."""
-    return _deletion_family_bound("deletion", n, p_d)
+    return evaluate_bound("deletion", ChannelParams.deletion(p_d), n)
+
+
+def _small_p_components(p: float, coefficients: tuple[float, ...]) -> dict[str, float]:
+    """A quartic small-p relaxation: 1 - h(p) plus the polynomial with these coefficients."""
+    c1, c2, c3, c4 = coefficients
+    return {
+        "base": 1.0,
+        "block_entropy_penalty": -binary_entropy(p),
+        "linear": c1 * p,
+        "quadratic": c2 * p * p,
+        "cubic": c3 * p**3,
+        "quartic": c4 * p**4,
+    }
 
 
 def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p deletion polynomial."""
-    _check_block_length(n, 4)
+    _check_block_length("deletion_small_p", n)
     w1, w2 = mean_pattern_log_weights(n, 1, 2).tolist()
     return (
         w1 - 1.0,
@@ -207,26 +206,33 @@ def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
 
 def deletion_bound_small_p(n: int, p_d: float) -> BoundResult:
     """Quartic small-p relaxation of the deletion-only bound."""
-    params = ChannelParams.deletion(p_d)
-    c1, c2, c3, c4 = deletion_small_p_coefficients(n)
-    p = params.p_d
-    return BoundResult.from_components(
-        "deletion_small_p",
-        n,
-        {
-            "base": 1.0,
-            "block_entropy_penalty": -binary_entropy(p),
-            "linear": c1 * p,
-            "quadratic": c2 * p * p,
-            "cubic": c3 * p**3,
-            "quartic": c4 * p**4,
-        },
-    )
+    return evaluate_bound("deletion_small_p", ChannelParams.deletion(p_d), n)
 
 
 def deletion_awgn_bound(n: int, p_d: float, sigma: float) -> BoundResult:
     """Capacity lower bound for the deletion channel cascaded with BI-AWGN."""
-    return _deletion_family_bound("deletion_awgn", n, p_d, sigma=sigma)
+    return evaluate_bound("deletion_awgn", ChannelParams.deletion_awgn(p_d, sigma), n)
+
+
+def _insertion_components(p_i: float, n: int, weight: float | None = None) -> dict[str, float]:
+    """The insertion bound's components; ``weight`` defaults to the printed one."""
+    if weight is None:
+        weight = single_insertion_log_weight(n)
+    # (1-p)^k as exp(k log1p(-p)): where p is below an ulp of 1, 1 - p rounds
+    # to 1.0 and would drop the -n*p that cancels the single-insertion +n*q
+    log_keep = math.log1p(-p_i) if p_i < 1.0 else -math.inf
+    base = math.exp(n * log_keep)
+    q = p_i * math.exp((n - 1) * log_keep)
+    # the mass of 2 to n-2 insertions, by cancellation: its error of an ulp
+    # of 1 can take it below 0 where it is tiny
+    multi_mass = max(0.0, -math.fsum([-1.0, base, n * q, p_i**n, n * p_i ** (n - 1) * (1.0 - p_i)]))
+    return {
+        "base": base,
+        "block_entropy_penalty": -binary_entropy(p_i),
+        "single_insertion_gain": (weight - (3 * n + 1) / (4 * n) + n) * q,
+        "multi_insertion_gain": multi_mass * math.log2(n * (n - 1) / 2) / n,
+        "tail_gain": p_i ** (n - 1) * (1.0 - p_i) * math.log2(n),
+    }
 
 
 def insertion_bound_from_weight(n: int, p_i: float, weight: float) -> BoundResult:
@@ -236,28 +242,9 @@ def insertion_bound_from_weight(n: int, p_i: float, weight: float) -> BoundResul
     the enumerated one; :func:`random_insertion_bound` fixes the weight to
     :func:`synchan.combinatorics.single_insertion_log_weight`.
     """
-    _check_block_length(n, 2)
-    params = ChannelParams.insertion(p_i)
-    p = params.p_i
-    # (1-p)^k as exp(k log1p(-p)): where p is below an ulp of 1, 1 - p rounds
-    # to 1.0 and would drop the -n*p that cancels the single-insertion +n*q
-    log_keep = math.log1p(-p) if p < 1.0 else -math.inf
-    base = math.exp(n * log_keep)
-    q = p * math.exp((n - 1) * log_keep)
-    # the mass of 2 to n-2 insertions, by cancellation: its error of an ulp
-    # of 1 can take it below 0 where it is tiny
-    multi_mass = max(0.0, -math.fsum([-1.0, base, n * q, p**n, n * p ** (n - 1) * (1.0 - p)]))
-    return BoundResult.from_components(
-        "random_insertion",
-        n,
-        {
-            "base": base,
-            "block_entropy_penalty": -binary_entropy(p),
-            "single_insertion_gain": (weight - (3 * n + 1) / (4 * n) + n) * q,
-            "multi_insertion_gain": multi_mass * math.log2(n * (n - 1) / 2) / n,
-            "tail_gain": p ** (n - 1) * (1.0 - p) * math.log2(n),
-        },
-    )
+    ChannelParams.insertion(p_i)
+    _check_block_length("random_insertion", n)
+    return BoundResult.from_components("random_insertion", n, _insertion_components(p_i, n, weight))
 
 
 def random_insertion_bound(n: int, p_i: float) -> BoundResult:
@@ -270,12 +257,12 @@ def random_insertion_bound(n: int, p_i: float) -> BoundResult:
     the enumerated (I(X;Y) - H(T))/n at every n from 2 to 9 at p_i = 0.01,
     at n <= 7 at p_i = 0.1 and at n <= 4 at p_i = 0.3.
     """
-    return insertion_bound_from_weight(n, p_i, single_insertion_log_weight(n))
+    return evaluate_bound("random_insertion", ChannelParams.insertion(p_i), n)
 
 
 def insertion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p insertion polynomial."""
-    _check_block_length(n, 4)
+    _check_block_length("random_insertion_small_p", n)
     s = single_insertion_log_weight(n)
     b = math.log2(n * (n - 1) / 2)
     c = (3 * n + 1) / (4 * n)
@@ -289,106 +276,104 @@ def insertion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
 
 def random_insertion_bound_small_p(n: int, p_i: float) -> BoundResult:
     """Quartic small-p relaxation of the insertion-channel bound."""
-    params = ChannelParams.insertion(p_i)
-    c1, c2, c3, c4 = insertion_small_p_coefficients(n)
-    p = params.p_i
-    return BoundResult.from_components(
-        "random_insertion_small_p",
-        n,
-        {
-            "base": 1.0,
-            "block_entropy_penalty": -binary_entropy(p),
-            "linear": c1 * p,
-            "quadratic": c2 * p * p,
-            "cubic": c3 * p**3,
-            "quartic": c4 * p**4,
-        },
-    )
+    return evaluate_bound("random_insertion_small_p", ChannelParams.insertion(p_i), n)
 
 
-_EVALUATORS: dict[str, Callable[[int, ChannelParams], BoundResult]] = {
-    "deletion_substitution": lambda n, c: deletion_substitution_bound(n, c.p_d, c.p_e),
-    "deletion": lambda n, c: deletion_bound(n, c.p_d),
-    "deletion_awgn": lambda n, c: deletion_awgn_bound(n, c.p_d, c.sigma),
-    "random_insertion": lambda n, c: random_insertion_bound(n, c.p_i),
-    "deletion_small_p": lambda n, c: deletion_bound_small_p(n, c.p_d),
-    "random_insertion_small_p": lambda n, c: random_insertion_bound_small_p(n, c.p_i),
+class _Bound(NamedTuple):
+    reads: tuple[str, ...]
+    n_min: int | None
+    components: Callable
+
+
+# each bound: the axes it reads, its smallest block length (None: it takes
+# none) and its components at one point of those axes; the deletion family's
+# take the whole grid, to compute each once per value of the axes it reads
+_BOUNDS = {
+    "gallager": _Bound(("p_d", "p_e", "p_i"), None, _gallager_components),
+    "deletion": _Bound(("p_d", "n"), 1, _deletion_components),
+    "deletion_substitution": _Bound(("p_d", "p_e", "n"), 1, _deletion_components),
+    "deletion_awgn": _Bound(("p_d", "sigma", "n"), 1, _deletion_components),
+    "random_insertion": _Bound(("p_i", "n"), 2, _insertion_components),
+    "deletion_small_p": _Bound(
+        ("p_d", "n"), 4, lambda p_d, n: _small_p_components(p_d, deletion_small_p_coefficients(n))
+    ),
+    "random_insertion_small_p": _Bound(
+        ("p_i", "n"), 4, lambda p_i, n: _small_p_components(p_i, insertion_small_p_coefficients(n))
+    ),
 }
+
+
+def _check_block_length(method: str, n: int | None) -> None:
+    n_min = _BOUNDS[method].n_min
+    if n_min is not None and n is None:
+        raise ValueError(f"method {method!r} requires a block length")
+    if n_min is not None and n < n_min:
+        raise ValueError(f"block length must be >= {n_min}, got {n}")
+
+
+def _components(method: str, axes: dict) -> dict[str, np.ndarray]:
+    """A bound's components on the grid ``axes``, each shaped to broadcast over it."""
+    reads, _, components = _BOUNDS[method]
+    if method in _DELETION_PENALTIES:
+        return components(method, axes)
+    return _on_grid(components, axes, reads)
 
 
 def evaluate_bound(method: str, params: ChannelParams, n: int | None = None) -> BoundResult:
     """Evaluate any bound by its method tag; ``n`` is ignored for gallager."""
-    if method == "gallager":
-        return gallager_bound(params)
-    if method not in _EVALUATORS:
+    if method not in _BOUNDS:
         raise ValueError(f"unknown method {method!r}")
-    if n is None:
-        raise ValueError(f"method {method!r} requires a block length")
-    return _EVALUATORS[method](n, params)
+    _check_block_length(method, n)
+    n = None if _BOUNDS[method].n_min is None else n
+    axes = dict(p_d=[params.p_d], p_e=[params.p_e], p_i=[params.p_i], sigma=[params.sigma], n=[n])
+    components = _components(method, axes)
+    return BoundResult.from_components(method, n, {k: v.item() for k, v in components.items()})
 
 
-# the axes each bound outside the deletion family reads
-_GRID_READS = {
-    "gallager": ("p_d", "p_e", "p_i"),
-    "random_insertion": ("p_i", "n"),
-    "deletion_small_p": ("p_d", "n"),
-    "random_insertion_small_p": ("p_i", "n"),
-}
-
-
-def _raises(f: Callable, **kwargs) -> bool:
+def _rejected(check: Callable, **point) -> dict[str, bool]:
     try:
-        f(**kwargs)
+        check(**point)
     except ValueError:
-        return True
-    return False
+        return {"rejected": True}
+    return {"rejected": False}
 
 
 def _grid_rates(methods: list[str], p_d, p_e, p_i, sigma, n) -> list[np.ndarray]:
     """Each method's rate at every point of the grid p_d x p_e x p_i x sigma x n.
 
-    Bit for bit ``evaluate_bound(method, ChannelParams(p_d, p_e, p_i, sigma), n).rate``,
-    with each component computed once per value of the axes it reads.  An
-    invalid grid raises the error of its first invalid point, as evaluation
-    there would, taking the methods in turn.
+    Bit for bit ``evaluate_bound(method, ChannelParams(p_d, p_e, p_i, sigma), n).rate``:
+    both are the ``math.fsum`` of the same components.  An invalid grid raises
+    the error of its first invalid point, as evaluation there would, taking
+    the methods in turn.
     """
     axes = dict(p_d=p_d, p_e=p_e, p_i=p_i, sigma=sigma, n=n)
+    shape = tuple(map(len, axes.values()))
+    if 0 in shape:
+        return [np.empty(shape) for _ in methods]
     # ChannelParams rejects a point for p_d and p_i, p_e or sigma, and a
     # method's block-length check reads no channel parameter
-    probes = [(names, ChannelParams) for names in (["p_d", "p_i"], ["p_e"], ["sigma"])]
-    probes.append((["n"], lambda n: [evaluate_bound(m, ChannelParams(), n) for m in methods]))
-    rejected = sum(_on_grid(partial(_raises, f), axes, names) for names, f in probes) > 0
+    checks = [(names, ChannelParams) for names in (["p_d", "p_i"], ["p_e"], ["sigma"])]
+    checks.append((["n"], lambda n: [_check_block_length(method, n) for method in methods]))
+    rejected = sum(_on_grid(partial(_rejected, f), axes, names)["rejected"] for names, f in checks)
     if rejected.any():
-        first = np.unravel_index(rejected.argmax(), rejected.shape)
-        point = [axis[i] for axis, i in zip(axes.values(), first)]
+        first = np.unravel_index((rejected > 0).argmax(), shape)
+        *params, n_first = [axis[i] for axis, i in zip(axes.values(), first)]
+        ChannelParams(*params)
         for method in methods:
-            evaluate_bound(method, ChannelParams(*point[:4]), point[4])
-    if rejected.size == 0:
-        return [np.empty(rejected.shape) for _ in methods]
+            _check_block_length(method, n_first)
     grids = []
     for method in methods:
-        if method in _DELETION_PENALTIES:
-            # each point's math.fsum of its components, as in BoundResult.from_components
-            points = np.broadcast(*_deletion_components(method, axes).values())
-            rates = np.fromiter(map(math.fsum, points), float, points.size).reshape(points.shape)
-        else:
-            rates = _on_grid(
-                lambda n=None, **params: evaluate_bound(method, ChannelParams(**params), n).rate,
-                axes,
-                _GRID_READS[method],
-            )
-        grids.append(np.broadcast_to(rates, rejected.shape))
+        # each point's math.fsum of its components, as in BoundResult.from_components
+        points = np.broadcast(*_components(method, axes).values())
+        rates = np.fromiter(map(math.fsum, points), float, points.size).reshape(points.shape)
+        grids.append(np.broadcast_to(rates, shape))
     return grids
 
 
 # the multi-insertion penalty term log2(n(n-1)/2) vanishes at n = 2, which
 # makes the n = 2 insertion value spuriously dominate every scan; the
 # reference optima are taken over n >= 3
-_DEFAULT_N_MIN = {
-    "random_insertion": 3,
-    "deletion_small_p": 4,
-    "random_insertion_small_p": 4,
-}
+_DEFAULT_N_MIN = {"random_insertion": 3, "deletion_small_p": 4, "random_insertion_small_p": 4}
 
 
 def optimize_block_length(
@@ -397,21 +382,20 @@ def optimize_block_length(
     """Exhaustively scan block lengths and return the argmax bound.
 
     Ties break toward the smaller block length.  The profile is not known to
-    be unimodal, so every length in [n_min, n_max] is evaluated.
+    be unimodal, so every length in [n_min, n_max] is evaluated, on one grid.
     """
-    if method not in _EVALUATORS:
-        raise ValueError(f"unknown method {method!r}; choose from {sorted(_EVALUATORS)}")
+    scanned = sorted(m for m, bound in _BOUNDS.items() if bound.n_min is not None)
+    if method not in scanned:
+        reason = "has no block length" if method in _BOUNDS else "is unknown"
+        raise ValueError(f"method {method!r} {reason}; choose from {scanned}")
     if n_min is None:
         n_min = _DEFAULT_N_MIN.get(method, 2)
     if n_max < n_min:
         raise ValueError(f"n_max must be >= {n_min}, got {n_max}")
-    evaluate = _EVALUATORS[method]
-    best_n, best = n_min, evaluate(n_min, params)
-    for n in range(n_min + 1, n_max + 1):
-        candidate = evaluate(n, params)
-        if candidate.rate > best.rate:
-            best_n, best = n, candidate
-    return best_n, best
+    lengths = range(n_min, n_max + 1)
+    point = [[params.p_d], [params.p_e], [params.p_i], [params.sigma]]
+    n_star = lengths[int(_grid_rates([method], *point, lengths)[0].argmax())]
+    return n_star, evaluate_bound(method, params, n_star)
 
 
 @lru_cache(maxsize=None)

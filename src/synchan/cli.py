@@ -100,17 +100,19 @@ def _print_result(result, as_json: bool) -> None:
         print(f"  {name:<24s} {value:+.6g}")
 
 
-def cmd_bound(args) -> int:
-    method = _METHODS[args.method]
-    params = _params_from_args(args)
-    if args.optimize_n is not None:
-        n_star, result = optimize_block_length(method, params, args.optimize_n)
-        if not args.json:
-            print(f"optimal n     {n_star}")
-        _print_result(result, args.json)
-        return 0
-    result = evaluate_bound(method, params, args.n)
+def _print_optimum(args, n_max: int, n_min: int | None) -> int:
+    method, params = _METHODS[args.method], _params_from_args(args)
+    n_star, result = optimize_block_length(method, params, n_max, n_min)
+    if not args.json:
+        print(f"optimal n     {n_star}")
     _print_result(result, args.json)
+    return 0
+
+
+def cmd_bound(args) -> int:
+    if args.optimize_n is not None:
+        return _print_optimum(args, args.optimize_n, None)
+    _print_result(evaluate_bound(_METHODS[args.method], _params_from_args(args), args.n), args.json)
     return 0
 
 
@@ -285,13 +287,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    method = _METHODS[args.method]
-    params = _params_from_args(args)
-    n_star, result = optimize_block_length(method, params, args.n_max, args.n_min)
-    if not args.json:
-        print(f"optimal n     {n_star}")
-    _print_result(result, args.json)
-    return 0
+    return _print_optimum(args, args.n_max, args.n_min)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:

@@ -39,6 +39,22 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(sigma=-0.1)
 
+    def test_deletion_and_insertion_mass_as_the_bounds_evaluate_it(self):
+        # 1.0 + 5.27e-116 rounds to 1.0, but 1 - p_d - p_i is below 0
+        with pytest.raises(ValueError, match=r"got p_d=1\.0 and p_i=5\.27e-116"):
+            ChannelParams(p_d=1.0, p_i=5.27e-116)
+        with pytest.raises(ValueError, match="p_d \\+ p_i must not exceed 1"):
+            gallager_bound(ChannelParams(p_d=1.0, p_i=1e-200))
+        # a real sum of at most 1 passes however it rounds
+        for p_d, p_i in [(0.7, 0.3), (1.0, 0.0), (0.1, 0.9), (1e-200, 1.0)]:
+            assert math.isfinite(gallager_bound(ChannelParams(p_d=p_d, p_i=p_i)).rate)
+
+    def test_a_probability_is_checked_before_the_block_length(self):
+        with pytest.raises(ValueError, match="p_d must lie in"):
+            deletion_bound(0, 2.0)
+        with pytest.raises(ValueError, match="p_i must lie in"):
+            random_insertion_bound_small_p(1, -0.5)
+
     @pytest.mark.parametrize("sigma", [math.inf, math.nan])
     def test_non_finite_sigma(self, sigma):
         with pytest.raises(ValueError):
@@ -213,6 +229,17 @@ class TestInsertionSmallP:
                 )
 
 
+# each block-length method with the first length its scan takes by default
+_SCANNED_METHODS = {
+    "deletion": 2,
+    "deletion_substitution": 2,
+    "deletion_awgn": 2,
+    "random_insertion": 3,
+    "deletion_small_p": 4,
+    "random_insertion_small_p": 4,
+}
+
+
 class TestOptimizeBlockLength:
     def test_insertion_optima(self):
         n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(0.03), 512)
@@ -235,8 +262,37 @@ class TestOptimizeBlockLength:
             assert best.rate >= random_insertion_bound(n, 0.08).rate
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'nonsense' is unknown"):
             optimize_block_length("nonsense", ChannelParams(), 16)
+
+    def test_gallager_has_no_block_length(self):
+        with pytest.raises(ValueError, match="'gallager' has no block length"):
+            optimize_block_length("gallager", ChannelParams(), 16)
+
+    @pytest.mark.parametrize(
+        "method, params, n_max, n_min",
+        [
+            ("deletion", ChannelParams.deletion(0.05), 40, None),
+            ("deletion_substitution", ChannelParams.deletion_substitution(0.1, 0.02), 40, None),
+            ("deletion_awgn", ChannelParams.deletion_awgn(0.02, 0.7), 30, 1),
+            ("random_insertion", ChannelParams.insertion(0.08), 40, None),
+            # n = 2 dominates the insertion scan once it is let in
+            ("random_insertion", ChannelParams.insertion(0.08), 40, 2),
+            ("deletion_small_p", ChannelParams.deletion(0.01), 40, None),
+            ("random_insertion_small_p", ChannelParams.insertion(0.01), 40, 5),
+        ]
+        # the error-free channel: every length ties at rate 1
+        + [(method, ChannelParams(), 12, None) for method in _SCANNED_METHODS],
+    )
+    def test_first_argmax_of_a_plain_scan(self, method, params, n_max, n_min):
+        lengths = range(n_min or _SCANNED_METHODS[method], n_max + 1)
+        scan = [evaluate_bound(method, params, n) for n in lengths]
+        best = max(range(len(scan)), key=lambda i: (scan[i].rate, -i))
+        n_star, result = optimize_block_length(method, params, n_max, n_min)
+        assert (n_star, result.rate) == (lengths[best], scan[best].rate)
+        assert result.components == scan[best].components
+        if params == ChannelParams():
+            assert (n_star, result.rate) == (lengths[0], 1.0)
 
 
 class TestCapacityExpansion:
@@ -336,3 +392,196 @@ def test_bounds_are_finite_component_sums_at_most_one(method, n, p, q, sigma):
 def test_evaluate_bound_requires_block_length():
     with pytest.raises(ValueError):
         evaluate_bound("deletion", ChannelParams.deletion(0.1))
+
+
+# float.hex of each method"s rate and components at two points, as computed
+# before every rate, optimum and one-point bound came from one component grid
+_PINNED = [
+    (
+        "gallager",
+        ChannelParams(p_d=0.05, p_e=0.02, p_i=0.01),
+        None,
+        "0x1.004e981851267p-1",
+        {
+            "base": "0x1.0000000000000p+0",
+            "deletion_term": "-0x1.ba90c079482c2p-3",
+            "insertion_term": "-0x1.1021e1a8b49e2p-4",
+            "correct_term": "-0x1.becd7c6ae892bp-4",
+            "flip_term": "-0x1.b97a603749435p-4",
+        },
+    ),
+    (
+        "gallager",
+        ChannelParams(p_d=0.3, p_e=0.1, p_i=0.2),
+        None,
+        "-0x1.70a05039a60cap-1",
+        {
+            "base": "0x1.0000000000000p+0",
+            "deletion_term": "-0x1.0acc442cbb8e3p-1",
+            "insertion_term": "-0x1.db87e758f6be8p-2",
+            "correct_term": "-0x1.096be8421d143p-1",
+            "flip_term": "-0x1.ba90c079482c1p-3",
+        },
+    ),
+    (
+        "deletion",
+        ChannelParams.deletion(0.01),
+        100,
+        "0x1.d7f326e1355bap-1",
+        {
+            "base": "0x1.fae147ae147aep-1",
+            "block_entropy_penalty": "-0x1.4aedbe46a0a77p-4",
+            "pattern_gain": "0x1.9be5befd3d6d2p-7",
+        },
+    ),
+    (
+        "deletion",
+        ChannelParams.deletion(0.2),
+        37,
+        "0x1.180aa8dae12dcp-2",
+        {
+            "base": "0x1.999999999999ap-1",
+            "block_entropy_penalty": "-0x1.71a08f2b35a92p-1",
+            "pattern_gain": "0x1.903127fc32998p-3",
+        },
+    ),
+    (
+        "deletion_substitution",
+        ChannelParams.deletion_substitution(0.01, 0.03),
+        1000,
+        "0x1.757ee66072b91p-1",
+        {
+            "base": "0x1.fae147ae147aep-1",
+            "block_entropy_penalty": "-0x1.4aedbe46a0a77p-4",
+            "pattern_gain": "0x1.a0f7f16fd3651p-7",
+            "substitution_penalty": "-0x1.8a22252a33e9cp-3",
+        },
+    ),
+    (
+        "deletion_substitution",
+        ChannelParams.deletion_substitution(0.1, 0.2),
+        40,
+        "-0x1.b942b64562390p-4",
+        {
+            "base": "0x1.ccccccccccccdp-1",
+            "block_entropy_penalty": "-0x1.e0406181bc7cep-2",
+            "pattern_gain": "0x1.c6a93cf8abaf8p-4",
+            "substitution_penalty": "-0x1.4caa1a73b04b7p-1",
+        },
+    ),
+    (
+        "deletion_awgn",
+        ChannelParams.deletion_awgn(0.05, 0.8),
+        100,
+        "0x1.8421ae0ba8795p-2",
+        {
+            "base": "0x1.e666666666666p-1",
+            "block_entropy_penalty": "-0x1.25453e71f2a22p-2",
+            "pattern_gain": "0x1.ec08c8acaf908p-5",
+            "awgn_penalty": "-0x1.60e6f964c7a36p-2",
+        },
+    ),
+    (
+        "deletion_awgn",
+        ChannelParams.deletion_awgn(0.2, 2.0),
+        20,
+        "-0x1.9daead375e8aep-2",
+        {
+            "base": "0x1.999999999999ap-1",
+            "block_entropy_penalty": "-0x1.71a08f2b35a92p-1",
+            "pattern_gain": "0x1.83c69cf1a1144p-3",
+            "awgn_penalty": "-0x1.57c208467b7b0p-1",
+        },
+    ),
+    (
+        "random_insertion",
+        ChannelParams.insertion(0.03),
+        5,
+        "0x1.a7c09b8ebc7fdp-1",
+        {
+            "base": "0x1.b7abfc78b016cp-1",
+            "block_entropy_penalty": "-0x1.8e1d517ff6608p-3",
+            "single_insertion_gain": "0x1.42e928cae174ap-3",
+            "multi_insertion_gain": "0x1.70b6062efb777p-8",
+            "tail_gain": "0x1.e9b79d68f0e22p-20",
+        },
+    ),
+    (
+        "random_insertion",
+        ChannelParams.insertion(0.2),
+        40,
+        "-0x1.ec20161690af9p-2",
+        {
+            "base": "0x1.16c262777579dp-13",
+            "block_entropy_penalty": "-0x1.71a08f2b35a92p-1",
+            "single_insertion_gain": "0x1.67a5ef36ae308p-10",
+            "multi_insertion_gain": "0x1.eb2d1408aa0bap-3",
+            "tail_gain": "0x1.72e25eb38c55dp-89",
+        },
+    ),
+    (
+        "deletion_small_p",
+        ChannelParams.deletion(0.01),
+        10,
+        "0x1.d724304e6299ep-1",
+        {
+            "base": "0x1.0000000000000p+0",
+            "block_entropy_penalty": "-0x1.4aedbe46a0a77p-4",
+            "linear": "0x1.2b7e9f9d68dcdp-10",
+            "quadratic": "-0x1.f6f7f2b31de7ep-14",
+            "cubic": "-0x1.000446850810cp-15",
+            "quartic": "-0x1.f67e8588bc7dbp-21",
+        },
+    ),
+    (
+        "deletion_small_p",
+        ChannelParams.deletion(0.001),
+        100,
+        "0x1.fa4b4b78d0f11p-1",
+        {
+            "base": "0x1.0000000000000p+0",
+            "block_entropy_penalty": "-0x1.75cf353398570p-7",
+            "linear": "0x1.1c450d7b7ce98p-12",
+            "quadratic": "-0x1.7b0db3b639244p-20",
+            "cubic": "-0x1.948388e46a81dp-18",
+            "quartic": "-0x1.ac254d0de7225p-23",
+        },
+    ),
+    (
+        "random_insertion_small_p",
+        ChannelParams.insertion(0.02),
+        6,
+        "0x1.bff8a409f6db5p-1",
+        {
+            "base": "0x1.0000000000000p+0",
+            "block_entropy_penalty": "-0x1.21ab94445d6c3p-3",
+            "linear": "0x1.4e596b374b978p-6",
+            "quadratic": "-0x1.0ee9ea86742f3p-8",
+            "cubic": "0x1.183645fa46bbfp-13",
+            "quartic": "-0x1.78e6ff7139cc5p-16",
+        },
+    ),
+    (
+        "random_insertion_small_p",
+        ChannelParams.insertion(0.005),
+        50,
+        "0x1.e05fd6660fa82p-1",
+        {
+            "base": "0x1.0000000000000p+0",
+            "block_entropy_penalty": "-0x1.7409834a9c09bp-5",
+            "linear": "0x1.a7faa9ab90dc8p-8",
+            "quadratic": "-0x1.a8c82e9b58eecp-6",
+            "cubic": "0x1.e916aa131ea56p-9",
+            "quartic": "-0x1.496fb75840962p-11",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("method, params, n, rate, components", _PINNED)
+def test_values_pinned_bit_for_bit(method, params, n, rate, components):
+    result = evaluate_bound(method, params, n)
+    assert result.rate.hex() == rate
+    assert [(name, value.hex()) for name, value in result.components.items()] == [
+        *components.items()
+    ]

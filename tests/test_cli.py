@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from synchan import bounds, cli
 from synchan.bounds import ChannelParams, evaluate_bound, gallager_bound
@@ -103,6 +103,26 @@ class TestBoundCommand:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bound", "--method", "bogus"])
         assert exc.value.code == 2
+
+    def test_rounded_deletion_and_insertion_mass_is_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bound", "--method", "gallager", "--pd", "1", "--pi", "1e-200"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: p_d + p_i must not exceed 1, got p_d=1.0 and p_i=1e-200\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--method", "gallager", "--n-max", "10"],
+            ["bound", "--method", "gallager", "--optimize-n", "10"],
+        ],
+    )
+    def test_gallager_has_no_block_length_to_optimize(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: method 'gallager' has no block length;")
+        assert err.count("\n") == 1
 
     def test_missing_block_length(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--method", "deletion", "--pd", "0.1")
@@ -264,7 +284,10 @@ class TestSweepCommand:
         [
             (["--pd", "0.1,1.5"], "p_d must lie in [0, 1], got 1.5"),
             (["--pd", "0.1", "--pe", "0,2"], "p_e must lie in [0, 1], got 2.0"),
-            (["--pd", "0.6", "--pi", "0.5"], "p_d + p_i must not exceed 1, got 1.1"),
+            (
+                ["--pd", "0.6", "--pi", "0.5"],
+                "p_d + p_i must not exceed 1, got p_d=0.6 and p_i=0.5",
+            ),
             (["--n", "0,5"], "block length must be >= 1, got 0"),
             (["--sigma", "-1"], "sigma must be finite and nonnegative, got -1.0"),
             # the first invalid point decides: its block length, not the later p_d
@@ -415,6 +438,11 @@ _P_I_AXIS = st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.5)), min_size=1, m
     n=st.lists(st.integers(1, 40), min_size=1, max_size=3),
     # one axis in three grids is empty
     emptied=st.sampled_from((None,) * 10 + tuple(range(5))),
+)
+# 1.0 + 5.27e-116 rounds to 1.0, but gallager's 1 - p_d - p_i is below 0; the
+# first point is invalid, not only the second, whose n = 1 is too short for some
+@example(
+    others=["gallager"], p_d=[1.0], p_e=[0.0], p_i=[5.27e-116], sigma=[0.0], n=[5, 1], emptied=None
 )
 def test_grid_rates_equal_point_evaluations(method, others, p_d, p_e, p_i, sigma, n, emptied):
     methods, axes = [method, *others], [p_d, p_e, p_i, sigma, n]
