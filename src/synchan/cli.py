@@ -19,7 +19,7 @@ import sys
 from itertools import product
 from typing import Sequence
 
-from .bounds import ChannelParams, _grid_rates, evaluate_bound, optimize_block_length
+from .bounds import _BOUNDS, ChannelParams, _grid_rates, evaluate_bound, optimize_block_length
 from .reference_tables import CellDiff, table1_diffs, table2_diffs
 from .verification import Check, run_scopes
 
@@ -102,6 +102,9 @@ def _print_result(result, as_json: bool) -> None:
 
 def _print_optimum(args, n_max: int, n_min: int | None) -> int:
     method, params = _METHODS[args.method], _params_from_args(args)
+    if _BOUNDS[method].n_min is None:  # name the choices as --method spells them
+        scanned = sorted(name for name, tag in _METHODS.items() if _BOUNDS[tag].n_min is not None)
+        raise ValueError(f"method {args.method!r} has no block length; choose from {scanned}")
     n_star, result = optimize_block_length(method, params, n_max, n_min)
     if not args.json:
         print(f"optimal n     {n_star}")

@@ -17,7 +17,6 @@ from itertools import compress, product
 from math import comb
 from typing import Mapping, Sequence
 
-import mpmath
 import numpy as np
 
 from .bounds import (
@@ -463,6 +462,8 @@ def exact_block_entropy(n: int, p: float) -> float:
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if p in (0.0, 1.0):
         return 0.0
+    import mpmath  # loaded here, so that importing the package need not pay for it
+
     with mpmath.workprec(220):
         mp = mpmath.mpf(p)
         mq = 1 - mp

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import channels, combinatorics, oracle
 from .channels import RngState
@@ -294,7 +294,39 @@ def _chi_square(observed: Sequence[float], expected: Sequence[float]) -> float:
     exp = np.asarray(exp_pool)
     exp = exp * obs.sum() / exp.sum()
     stat = float(((obs - exp) ** 2 / exp).sum())
-    return float(stats.chi2.sf(stat, len(obs) - 1))
+    return _chi2_tail(stat, len(obs) - 1)
+
+
+def _chi2_tail(x: float, k: int, upper: bool = True) -> float:
+    """P(X > x), or P(X < x) if not ``upper``, for X chi-square with k degrees of freedom."""
+    import mpmath  # loaded here: only the chi-square checks need it
+    lo, hi = (x / 2, mpmath.inf) if upper else (0, x / 2)
+    return float(mpmath.gammainc(k / 2, lo, hi, regularized=True))
+
+
+def _chi2_quantile(q: float, k: int, upper: bool = True) -> float:
+    """The x with ``_chi2_tail(x, k, upper) == q``: Newton on ln x from Wilson-Hilferty's x."""
+    sign = 1.0 if upper else -1.0
+    a = 2.0 / (9.0 * k)
+    u = math.log(k) + 3.0 * math.log(max(1.0 - a - sign * NormalDist().inv_cdf(q) * math.sqrt(a), 0.1))
+    for _ in range(100):
+        x = math.exp(u)
+        x_pdf = math.exp(0.5 * k * math.log(0.5 * x) - 0.5 * x - math.lgamma(0.5 * k))
+        step = sign * (_chi2_tail(x, k, upper) - q) / x_pdf
+        u += max(-1.0, min(1.0, step))  # at most 1 in ln x, so far starts cannot overshoot
+        if abs(step) < 1e-12:
+            return math.exp(u)
+    raise ArithmeticError(f"chi-square quantile did not converge (q={q!r}, k={k})")
+
+
+def _ks_pvalue(d: float, n: int) -> float:
+    """Two-sided Kolmogorov-Smirnov p-value of statistic ``d`` over ``n`` samples: the asymptotic
+    Kolmogorov law at Stephens' (1970) scaled statistic, within 3% of the exact law for n >= 1000."""
+    lam = (math.sqrt(n) + 0.12 + 0.11 / math.sqrt(n)) * d
+    if lam < 0.2:
+        return 1.0  # within 1e-12 of the series, which converges slowly here
+    terms = ((-1) ** (j - 1) * math.exp(-2.0 * (j * lam) ** 2) for j in range(1, 101))
+    return min(1.0, max(0.0, 2.0 * math.fsum(terms)))
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -340,7 +372,7 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
         (channels.simulate_bsc(np.zeros(nbits, dtype=np.uint8), BSC_P, streams[1]) == 1).sum()
     )
     z = abs(flips - nbits * BSC_P) / math.sqrt(nbits * BSC_P * (1 - BSC_P))
-    z_cut = float(stats.norm.isf(SIGNIFICANCE / 2))
+    z_cut = -NormalDist().inv_cdf(SIGNIFICANCE / 2)
     checks.append(
         _check(
             "bsc_flip_rate",
@@ -378,8 +410,8 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     noise = noisy + 1.0
     z_mean = abs(noise.mean()) / (NOISE_SIGMA / math.sqrt(nsamp))
     var_stat = noise.var() * nsamp / NOISE_SIGMA**2
-    var_lo = stats.chi2.ppf(SIGNIFICANCE / 2, nsamp - 1)
-    var_hi = stats.chi2.isf(SIGNIFICANCE / 2, nsamp - 1)
+    var_lo = _chi2_quantile(SIGNIFICANCE / 2, nsamp - 1, upper=False)
+    var_hi = _chi2_quantile(SIGNIFICANCE / 2, nsamp - 1)
     noise_ok = z_mean <= z_cut and var_lo <= var_stat <= var_hi
     checks.append(
         _check(
@@ -393,15 +425,17 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     x = streams[4].generator.integers(0, 2, size=n_in, dtype=np.uint8)
     received = channels.simulate_deletion_awgn(x, KS_P_D, KS_SIGMA, streams[4])
 
-    def mixture_cdf(v):
-        return 0.5 * (stats.norm.cdf(v, loc=1.0, scale=KS_SIGMA) + stats.norm.cdf(v, loc=-1.0, scale=KS_SIGMA))
-
-    ks = stats.kstest(received, mixture_cdf)
+    # the cdf of the equal mixture of N(+1, sigma^2) and N(-1, sigma^2) at the sorted outputs
+    r = math.sqrt(2.0) * KS_SIGMA
+    cdf = [math.erfc((1.0 - v) / r) + math.erfc((-1.0 - v) / r) for v in np.sort(received).tolist()]
+    cdf = np.array(cdf) / 4
+    ranks = np.arange(received.size + 1) / received.size
+    ks_p = _ks_pvalue(max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max()), received.size)
     checks.append(
         _check(
             "awgn_marginal_density",
-            ks.pvalue >= SIGNIFICANCE,
-            f"KS p = {ks.pvalue:.4g} over {received.size} outputs",
+            ks_p >= SIGNIFICANCE,
+            f"KS p = {ks_p:.4g} over {received.size} outputs",
         )
     )
 

@@ -16,7 +16,7 @@ from synchan.channels import (
 )
 from synchan.combinatorics import subsequence_weight
 from synchan.oracle import exact_insertion_conditional_law
-from synchan.verification import run_simulator_checks
+from synchan.verification import _chi2_quantile, _chi2_tail, _ks_pvalue, run_simulator_checks
 
 SIGNIFICANCE = 1e-3
 
@@ -402,3 +402,36 @@ class TestSimulatorChecks:
         checks = run_simulator_checks(scale=0.05)
         assert all(c.passed for c in checks), [str(c) for c in checks if not c.passed]
         assert 0 < len(calls) <= 100
+
+
+# degrees of freedom from one bin to the registered noise-variance test's 10^6
+# samples; mpmath's tail converges within about 4 standard deviations there
+_CHI2_DOF = [1, 2, 5, 20, 440, 999, 49_999, 999_999]
+
+
+class TestStatisticalTestsAgainstScipy:
+    @pytest.mark.parametrize("k", _CHI2_DOF)
+    def test_chi_square_tails(self, k):
+        probabilities = [1e-4, 5e-4, 0.01, 0.3, 0.5, 0.9] + ([1e-12, 1e-8] if k < 10**5 else [])
+        for q in probabilities:
+            for x in (stats.chi2.isf(q, k), stats.chi2.ppf(q, k)):
+                assert _chi2_tail(x, k) == pytest.approx(stats.chi2.sf(x, k), rel=1e-12, abs=0)
+                assert _chi2_tail(x, k, upper=False) == pytest.approx(stats.chi2.cdf(x, k), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", _CHI2_DOF)
+    def test_chi_square_quantiles(self, k):
+        probabilities = [5e-4, 0.01, 0.3, 0.5] + ([1e-10, 1e-6] if k < 10**5 else [1e-4])
+        for q in probabilities:
+            assert _chi2_quantile(q, k) == pytest.approx(stats.chi2.isf(q, k), rel=1e-10)
+            assert _chi2_quantile(q, k, upper=False) == pytest.approx(stats.chi2.ppf(q, k), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1000, 9500, 190_000])
+    def test_ks_pvalue_near_exact_law(self, n):
+        # scaled statistics whose exact p-values span about 0.96 down to 1e-5
+        for d in np.linspace(0.5, 2.5, 11) / math.sqrt(n):
+            assert _ks_pvalue(d, n) == pytest.approx(stats.kstwo.sf(d, n), rel=0.03)
+
+    def test_ks_pvalue_limits(self):
+        assert _ks_pvalue(0.0, 1000) == 1.0
+        assert _ks_pvalue(1e-4, 1000) == 1.0
+        assert _ks_pvalue(1.0, 1000) == 0.0

@@ -124,6 +124,19 @@ class TestBoundCommand:
         assert err.startswith("error: method 'gallager' has no block length;")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "--method", "gallager", "--n-max", "10"],
+            ["bound", "--method", "gallager", "--optimize-n", "10"],
+        ],
+    )
+    def test_optimize_choices_are_cli_method_names(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        choices = ["del-awgn", "del-small-p", "del-sub", "deletion", "ins-small-p", "insertion"]
+        assert code == 2
+        assert err == f"error: method 'gallager' has no block length; choose from {choices}\n"
+
     def test_missing_block_length(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--method", "deletion", "--pd", "0.1")
         assert code == 2

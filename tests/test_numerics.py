@@ -59,6 +59,28 @@ class TestLogBinomial:
         assert _log2_binomial(_log_factorials(n), n, k) == pytest.approx(exact, rel=1e-12)
 
 
+class TestLogFactorials:
+    def test_against_scipy_gammaln(self):
+        from scipy.special import gammaln
+
+        k = np.arange(2, 20001)
+        assert np.max(np.abs(_log_factorials(20000)[2:] / gammaln(k + 1.0) - 1.0)) <= 1e-15
+
+    def test_values_do_not_depend_on_request_order(self):
+        # each order runs in a fresh interpreter, so the table starts empty
+        script = (
+            "import sys\n"
+            "from synchan.numerics import _log_factorials\n"
+            "for n in map(int, sys.argv[1:]):\n"
+            "    table = _log_factorials(n)\n"
+            "print(table[:11].tobytes().hex(), _log_factorials(20000).tobytes().hex())\n"
+        )
+        small_first = run_python("-c", script, "10", "20000")
+        large_first = run_python("-c", script, "20000", "10")
+        assert small_first.returncode == large_first.returncode == 0, small_first.stderr
+        assert small_first.stdout == large_first.stdout
+
+
 class TestBinomialLogPmf:
     def test_direct_small_case(self):
         assert _binomial_log_pmf_vec(2, 0.5)[1] == pytest.approx(-1.0, abs=1e-14)
@@ -139,6 +161,27 @@ class TestAwgnExpectation:
         # quadrature over 1 +- 40 sigma reads 1.0000000000000002 at sigma = 1e10,
         # and sigma**2 overflows a float from about 1.34e154
         assert 0.0 <= awgn_expectation(sigma) <= 1.0
+
+    def test_against_scipy_quad(self):
+        # adaptive Gauss-Kronrod over y in 1 +- 40 sigma, split at the kink y = 0
+        # and the mode y = 1, as an oracle independent of the fixed rule
+        from scipy.integrate import quad
+
+        def reference(sigma):
+            def integrand(y):
+                return math.exp(-0.5 * ((y - 1.0) / sigma) ** 2) * np.logaddexp(0.0, -2.0 * y / sigma**2)
+
+            lo, hi = 1.0 - 40.0 * sigma, 1.0 + 40.0 * sigma
+            breaks = [y for y in (0.0, 1.0) if lo < y < hi]
+            value, _ = quad(integrand, lo, hi, points=breaks, epsabs=0.0, epsrel=1e-13, limit=200)
+            return value / (sigma * math.sqrt(2.0 * math.pi) * math.log(2.0))
+
+        for sigma in np.logspace(-2, 4, 501):
+            expected = reference(sigma)
+            if expected < 1e-290:
+                assert abs(awgn_expectation(sigma) - expected) <= 1e-300
+            else:
+                assert abs(awgn_expectation(sigma) / expected - 1.0) <= 1e-12, sigma
 
     @pytest.mark.parametrize("sigma", [1.0001e4, 3e4, 1e6])
     def test_low_snr_branch_against_mpmath(self, sigma):
