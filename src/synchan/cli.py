@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+import time
 from itertools import product
 from typing import Sequence
 
@@ -34,6 +35,8 @@ _METHODS = {
 }
 
 _SCOPES = ("properties", "oracle", "chains", "simulators")
+# the layout of ``verify --json``: bump when a key changes meaning or goes away
+_VERIFY_SCHEMA_VERSION = 1
 
 
 def _noise_flag(args) -> str | None:
@@ -263,7 +266,12 @@ def cmd_verify(args) -> int:
     if not 0.0 < args.mc_samples < math.inf:
         raise ValueError(f"--mc-samples must be positive and finite, got {args.mc_samples!r}")
     scale = args.mc_samples / 1_000_000.0
-    results = run_scopes(scopes, seed=args.seed, mc_scale=scale)
+    results: dict[str, list[Check]] = {}
+    wall_s: dict[str, float] = {}
+    for scope in (s for s in _SCOPES if s in scopes):
+        began = time.perf_counter()
+        results.update(run_scopes([scope], seed=args.seed, mc_scale=scale))
+        wall_s[scope] = time.perf_counter() - began
     failures: list[str] = []
     for scope in scopes:
         checks: list[Check] = results.get(scope, [])
@@ -274,6 +282,7 @@ def cmd_verify(args) -> int:
         failures.extend(f"{scope}:{c.name}" for c in checks if not c.passed)
     if args.json:
         payload = {
+            "schema_version": _VERIFY_SCHEMA_VERSION,
             "scopes": {
                 scope: [
                     {"name": c.name, "passed": c.passed, "detail": c.detail}
@@ -282,6 +291,7 @@ def cmd_verify(args) -> int:
                 for scope in scopes
             },
             "failures": failures,
+            "wall_s": wall_s,
         }
         print(json.dumps(payload, indent=2))
     else:

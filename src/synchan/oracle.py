@@ -146,7 +146,7 @@ class EntropyReport:
 # deletion-side enumeration
 # ---------------------------------------------------------------------------
 
-# entries per array in one chunk of inputs (256 KiB); 2^14 to 2^18 run as fast, 2^18 at 5x the peak
+# entries per array in one chunk of inputs (256 KiB); of 2^13 to 2^16, 2^14 and 2^15 run fastest
 _CHUNK_ELEMENTS = 1 << 15
 
 
@@ -162,13 +162,36 @@ def _gather_bits(width: int, masks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _survivor_counts(n: int, m: int, inputs: int):
-    """Yield ``(chunk, S)`` over chunks of the first ``inputs`` of the 2^n inputs.
+def _reversed_codes(width: int) -> np.ndarray:
+    """``out[v]``: the width-bit value v with its bits in reverse order."""
+    values = np.arange(1 << width, dtype=np.int64)
+    out = np.zeros_like(values)
+    for k in range(width):
+        out |= ((values >> k) & 1) << (width - 1 - k)
+    return out
 
-    ``S[i, y]`` counts the size-m keep sets of input ``chunk[i]`` whose
-    survivor string is ``y``, looked up for the first h symbols and the rest
-    in two small tables.  Codes are little-endian: bit k of an input or an
-    output is its k-th symbol.
+
+def _orbit_representatives(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One n-bit input per orbit of {identity, complement, reversal, both}, and its orbit's size.
+
+    Every representative ends in 0.  Of an input x ending in 0, the reversal
+    or, if x starts with 1, the complemented reversal ends in 0 too; the
+    smaller of the two codes represents an orbit of 4, or of 2 where they
+    coincide (palindromes, and complemented palindromes).
+    """
+    inputs = np.arange(1 << (n - 1), dtype=np.int64)
+    mirror = _reversed_codes(n)[inputs] ^ np.where(inputs & 1, (1 << n) - 1, 0)
+    keep = inputs <= mirror
+    return inputs[keep], np.where(inputs[keep] == mirror[keep], 2, 4)
+
+
+def _survivor_counts(n: int, m: int, inputs: np.ndarray):
+    """Yield ``(rows, S)`` over consecutive slices ``rows`` of ``inputs``, an array of n-bit codes.
+
+    ``S[i, y]`` counts the size-m keep sets of input ``inputs[rows][i]``
+    whose survivor string is ``y``, looked up for the first h symbols and the
+    rest in two small tables.  Codes are little-endian: bit k of an input or
+    an output is its k-th symbol.
     """
     masks = np.arange(1 << n, dtype=np.int64)
     masks = masks[np.bitwise_count(masks) == m]
@@ -176,14 +199,28 @@ def _survivor_counts(n: int, m: int, inputs: int):
     low = masks & ((1 << h) - 1)
     head = _gather_bits(h, low)
     tail = _gather_bits(n - h, masks >> h) << np.bitwise_count(low).astype(np.int64)
-    rows = max(1, _CHUNK_ELEMENTS // max(masks.size, 1 << m))
-    for start in range(0, inputs, rows):
-        chunk = np.arange(start, min(start + rows, inputs), dtype=np.int64)
+    step = max(1, _CHUNK_ELEMENTS // max(masks.size, 1 << m))
+    for start in range(0, inputs.size, step):
+        rows = slice(start, start + step)
+        chunk = inputs[rows]
         # (row within the chunk, survivor code) as one bincount index
         index = head[chunk & ((1 << h) - 1)] | tail[chunk >> h]
         index |= np.arange(chunk.size, dtype=np.int64)[:, None] << m
         counts = np.bincount(index.ravel(), minlength=chunk.size << m)
-        yield chunk, counts.reshape(chunk.size, 1 << m)
+        yield rows, counts.reshape(chunk.size, 1 << m)
+
+
+def _orbit_aggregate(weighted: np.ndarray) -> np.ndarray:
+    """The survivor counts summed over all inputs, from A = sum of w S over the representatives.
+
+    Complementing an input complements its survivors (y -> 2^m - 1 - y, a
+    flip of the array) and reversing it reverses them, so the orbit of a
+    representative adds S, S o c, S o r and S o cr: (A + A o c + A o r + A o cr) / 4
+    counts each orbit of 4 once and each orbit of 2, whose S is fixed by r
+    or by cr, twice at weight 2.  Integer arithmetic keeps the division exact.
+    """
+    flipped = weighted + weighted[::-1]
+    return (flipped + flipped[_reversed_codes(weighted.size.bit_length() - 1)]) // 4
 
 
 @lru_cache(maxsize=32)
@@ -195,16 +232,16 @@ def _bsc_matrix(bits: int, p_e: float) -> np.ndarray:
 def _bsc(counts: np.ndarray, p_e: float) -> np.ndarray:
     """Push each row of ``counts``, a law over {0,1}^m, through a BSC.
 
-    The m-bit BSC matrix is the Kronecker product of the a- and b-bit ones
-    (a + b = m), applied as a matrix product on the low a bits and then, after
-    a transpose, on the other b.  Every entry stays a sum of nonnegative
-    terms, so unlike a Hadamard factorisation no small probability can round
-    below zero.
+    The m-bit BSC matrix is the Kronecker product of three matrices on about
+    m/3 bits each, applied one at a time as a matrix product on the low bits
+    followed by a transpose that rotates the next bits to the bottom.  Every
+    entry stays a sum of nonnegative terms, so unlike a Hadamard
+    factorisation no small probability can round below zero.
     """
     law = counts.astype(np.float64)
     rows, size = law.shape
     m = size.bit_length() - 1
-    for bits in ((m + 1) // 2, m // 2) if p_e else ():
+    for bits in ((m + 2) // 3, (m + 1) // 3, m // 3) if p_e else ():
         law = law.reshape(-1, 1 << bits) @ _bsc_matrix(bits, p_e)
         law = law.reshape(rows, -1, 1 << bits).transpose(0, 2, 1)
     return law.reshape(rows, size)
@@ -223,19 +260,21 @@ def _deletion_sums(n: int, p_e: float) -> np.ndarray:
     aggregate T = sum_x S, column m holds sum_x sum_y S log2 S, sum_x sum_y S,
     sum_y T log2 T and sum_y T.  A length factor f > 0 then turns
     sum f S log2(f S) into f (sum S log2 S + log2 f sum S).  The BSC commutes
-    with complementing, so only the inputs ending in 0 are enumerated, each
-    counted twice, and T is the BSC of the integer aggregate.
+    with complementing and reversing, so the per-input sums are enumerated
+    once per orbit (:func:`_orbit_representatives`) and weighted by its
+    size, and T is the BSC of the integer aggregate.
     """
+    inputs, weight = _orbit_representatives(n)
     sums = np.zeros((4, n + 1))
     for m in range(n + 1):
-        slog, mass, half = [], [], np.zeros(1 << m, dtype=np.int64)
-        for _, counts in _survivor_counts(n, m, 1 << (n - 1)):
+        slog, mass, weighted = [], [], np.zeros(1 << m, dtype=np.int64)
+        for rows, counts in _survivor_counts(n, m, inputs):
             law = _bsc(counts, p_e)
-            slog.extend(_slog(law, axis=1).tolist())
-            mass.extend(law.sum(axis=1).tolist())
-            half += counts.sum(axis=0)
-        total = _bsc((half + half[::-1])[None, :], p_e)[0]
-        sums[:, m] = 2 * math.fsum(slog), 2 * math.fsum(mass), _slog(total), math.fsum(total)
+            slog.extend((weight[rows] * _slog(law, axis=1)).tolist())
+            mass.extend((weight[rows] * law.sum(axis=1)).tolist())
+            weighted += weight[rows] @ counts
+        total = _bsc(_orbit_aggregate(weighted)[None, :], p_e)[0]
+        sums[:, m] = math.fsum(slog), math.fsum(mass), _slog(total), math.fsum(total)
     return sums
 
 
@@ -249,12 +288,11 @@ def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     element of entry m equalling 2^(n-m) * C(n, n-m).
     """
     _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
-    # complementing inputs complements survivors, 2^m - 1 - y: inputs ending in 1 add half[::-1]
-    halves = (
-        sum(counts.sum(axis=0) for _, counts in _survivor_counts(n, m, 1 << (n - 1)))
+    inputs, weight = _orbit_representatives(n)
+    return tuple(
+        _orbit_aggregate(sum(weight[rows] @ counts for rows, counts in _survivor_counts(n, m, inputs)))
         for m in range(n + 1)
     )
-    return tuple(half + half[::-1] for half in halves)
 
 
 def _bits_le(code: int, m: int) -> tuple[int, ...]:
@@ -284,10 +322,10 @@ def exact_deletion_law(
         for code in np.nonzero(agg)[0].tolist():
             marginal[_bits_le(code, m)] = int(agg[code]) * (factor * denom)
         if include_conditionals:
-            for inputs, counts in _survivor_counts(n, m, 1 << n):
-                rows, codes = np.nonzero(counts)
+            for rows, counts in _survivor_counts(n, m, np.arange(1 << n)):
+                index, codes = np.nonzero(counts)
                 for x, code, count in zip(
-                    inputs[rows].tolist(), codes.tolist(), counts[rows, codes].tolist()
+                    (index + rows.start).tolist(), codes.tolist(), counts[index, codes].tolist()
                 ):
                     supports[x][_bits_le(code, m)] = count * factor
     conditionals = {_bits_le(x, n): ExactDistribution(s, exact) for x, s in enumerate(supports)}

@@ -116,11 +116,12 @@ def run_property_checks(n_max: int = 12, seed: int = 7) -> list[Check]:
     worst_count = 0.0
     worst_len = 0.0
     for n in range(1, n_max + 1):
-        totals = np.zeros(n + 1)
-        for x in range(1 << n):
-            runs = combinatorics.encode([(x >> i) & 1 for i in range(n)]).run_lengths
-            for r in runs:
-                totals[r] += 1
+        # a run of an input ends where the next bit differs or the block ends; every
+        # row ends one at its last bit, so in row-major order run ends are a run apart
+        bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        ends = np.ones(bits.shape, dtype=bool)
+        ends[:, :-1] = bits[:, 1:] != bits[:, :-1]
+        totals = np.bincount(np.diff(np.flatnonzero(ends), prepend=-1), minlength=n + 1)
         for l in range(1, n + 1):
             expected = combinatorics.expected_run_count(l, n) * (1 << n)
             worst_count = max(worst_count, abs(totals[l] - expected))

@@ -352,7 +352,19 @@ class TestVerifyCommand:
         args = ["verify", "--scope", "simulators", "--seed", "7", "--mc-samples", "20000", "--json"]
         code_a, out_a, _ = run_cli(capsys, *args)
         code_b, out_b, _ = run_cli(capsys, *args)
-        assert (code_a, out_a) == (code_b, out_b)
+        payload_a, payload_b = json.loads(out_a), json.loads(out_b)
+        # the wall times are provenance, not verdicts
+        assert payload_a.pop("wall_s").keys() == payload_b.pop("wall_s").keys() == {"simulators"}
+        assert (code_a, payload_a) == (code_b, payload_b)
+
+    def test_json_has_a_schema_version_and_a_wall_time_per_scope(self, capsys):
+        args = ["verify", "--scope", "oracle", "--scope", "properties", "--json"]
+        code, out, _ = run_cli(capsys, *args)
+        payload = json.loads(out)
+        assert code == 0 and payload["schema_version"] == 1
+        assert list(payload["scopes"]) == ["oracle", "properties"]
+        assert list(payload["wall_s"]) == ["properties", "oracle"]  # the order they ran in
+        assert all(0.0 < t < math.inf for t in payload["wall_s"].values())
 
     def test_injected_defect_is_caught(self, capsys, corrupted_pattern_weights):
         # mutate the pattern weights used by the deletion bound; the chain

@@ -295,6 +295,59 @@ class TestDeletionKernel:
         assert report.all_hold
 
 
+def orbit_codes(code, n):
+    """The little-endian codes of an input, its complement, its reversal and both."""
+    bits = tuple((code >> k) & 1 for k in range(n))
+    flipped = tuple(1 - b for b in bits)
+    return {sum(b << k for k, b in enumerate(v)) for v in (bits, flipped, bits[::-1], flipped[::-1])}
+
+
+class TestOrbitEnumeration:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_representatives_partition_the_inputs(self, n):
+        inputs, weight = oracle._orbit_representatives(n)
+        assert int(weight.sum()) == 1 << n
+        covered = Counter()
+        for x, w in zip(inputs.tolist(), weight.tolist()):
+            orbit = orbit_codes(x, n)
+            assert x >> (n - 1) == 0 and len(orbit) == w
+            covered.update(orbit)
+        assert sorted(covered) == list(range(1 << n)) and set(covered.values()) == {1}
+        assert (weight == 2).any()  # palindromes
+
+    def test_half_the_inputs_are_enumerated_at_n12(self):
+        assert oracle._orbit_representatives(12)[0].size == 1056
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_symmetrised_aggregate_equals_full_enumeration(self, n):
+        everyone = np.arange(1 << n)
+        for m, aggregate in enumerate(deletion_output_multiplicities(n)):
+            full = sum(counts.sum(axis=0) for _, counts in oracle._survivor_counts(n, m, everyone))
+            assert aggregate.dtype == np.int64 and np.array_equal(aggregate, full)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_orbit_sum_is_rebuilt_exactly(self, n):
+        inputs, weight = oracle._orbit_representatives(n)
+        for m in range(n + 1):
+            everyone = oracle._survivor_counts(n, m, np.arange(1 << n))
+            per_input = np.concatenate([counts for _, counts in everyone])
+            for x, w in zip(inputs.tolist(), weight.tolist()):
+                expected = sum(per_input[y] for y in orbit_codes(x, n))
+                assert np.array_equal(oracle._orbit_aggregate(w * per_input[x]), expected)
+
+
+class TestBsc:
+    @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
+    def test_matches_the_hamming_distance_matrix(self, p_e):
+        gen = np.random.default_rng(5)
+        for m in range(11):
+            counts = gen.integers(0, 50, size=(3, 1 << m))
+            law = oracle._bsc(counts, p_e)
+            assert law.shape == counts.shape and (law >= 0).all()
+            expected = counts @ bsc_matrix.__wrapped__(m, p_e)
+            np.testing.assert_allclose(law, expected, rtol=1e-13, atol=0)
+
+
 class TestInsertionKernel:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tables_equal_per_input_sums(self, n):
