@@ -66,24 +66,23 @@ def encode(bits: Sequence[int]) -> RunLengthSequence:
     return RunLengthSequence(bits[0], tuple(lengths))
 
 
+def _deletion_patterns(runs: Sequence[int]) -> np.ndarray:
+    """Every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, one row each.
+
+    The prod(n_k + 1) rows, whatever the number of deletions, are in
+    lexicographic order.
+    """
+    sizes = [r + 1 for r in runs]
+    return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+
+
 def enumerate_deletion_patterns(runs: Sequence[int], d: int) -> Iterator[tuple[int, ...]]:
     """Yield every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, summing to d."""
     runs = tuple(runs)
     if d < 0 or d > sum(runs):
         raise ValueError(f"d must lie in [0, {sum(runs)}], got {d}")
-
-    def rec(k: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if k == len(runs):
-            if remaining == 0:
-                yield prefix
-            return
-        capacity_after = sum(runs[k + 1 :])
-        lo = max(0, remaining - capacity_after)
-        hi = min(runs[k], remaining)
-        for dk in range(lo, hi + 1):
-            yield from rec(k + 1, remaining - dk, prefix + (dk,))
-
-    yield from rec(0, d, ())
+    patterns = _deletion_patterns(runs)
+    yield from map(tuple, patterns[patterns.sum(axis=1) == d].tolist())
 
 
 def expected_run_count(l: int, n: int) -> float:

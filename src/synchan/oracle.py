@@ -84,8 +84,12 @@ class ExactDistribution:
         return abs(one - self.mass())
 
     def mass(self):
-        values = list(self.support.values())
-        return sum(values) if self.exact else math.fsum(values)
+        values = self.support.values()
+        if not self.exact:
+            return math.fsum(values)
+        # one sum of numerators over the least common denominator
+        common = math.lcm(*(v.denominator for v in values))
+        return Fraction(sum(v.numerator * (common // v.denominator) for v in values), common)
 
     def entropy(self) -> float:
         """Shannon entropy in bits (computed in float even for rational laws)."""
@@ -319,15 +323,17 @@ def exact_deletion_law(
         factor = p_d ** (n - m) * (one - p_d) ** m
         if factor == 0:
             continue
-        for code in np.nonzero(agg)[0].tolist():
-            marginal[_bits_le(code, m)] = int(agg[code]) * (factor * denom)
+        keys = [_bits_le(code, m) for code in range(1 << m)]
+        values = agg.tolist()
+        scaled = {c: c * (factor * denom) for c in set(values)}
+        marginal.update((keys[code], scaled[c]) for code, c in enumerate(values) if c)
         if include_conditionals:
             for rows, counts in _survivor_counts(n, m, np.arange(1 << n)):
                 index, codes = np.nonzero(counts)
-                for x, code, count in zip(
-                    (index + rows.start).tolist(), codes.tolist(), counts[index, codes].tolist()
-                ):
-                    supports[x][_bits_le(code, m)] = count * factor
+                values = counts[index, codes].tolist()
+                scaled = {c: c * factor for c in set(values)}
+                for x, code, c in zip((index + rows.start).tolist(), codes.tolist(), values):
+                    supports[x][keys[code]] = scaled[c]
     conditionals = {_bits_le(x, n): ExactDistribution(s, exact) for x, s in enumerate(supports)}
     return ExactDistribution(marginal, exact), conditionals
 
@@ -396,27 +402,30 @@ def _insertion_tables(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     It is the same for x, its complement, its reversal and either last bit
     b: the last step writes c[4q + 2r + s] = B[q] + [s == b] A[2q + r] from
     the laws A, B of the first n - 1 bits one and two symbols shorter.  So
-    (by reversal, then complement) the first two bits do not matter either:
-    only the (n-1)-bit prefixes starting 0 0 are enumerated, and the last
-    step is folded into the histogram.
+    (by reversal) the first bit does not matter either, and the histogram
+    depends only on the orbit of the middle n - 2 bits under {identity,
+    complement, reversal, both}: one (n-1)-bit prefix 0 + middle is
+    enumerated per orbit (36 at n = 9), weighted by the orbit's size, and
+    the last step is folded into the histogram.
     """
     _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
     aggregate = tuple(_insertion_count_law((2,) * n))
     # no input's count exceeds the aggregate count of the same output
     size = 1 + max(int(agg.max()) for agg in aggregate)
-    fixed = min(n - 1, 2)
+    # for n <= 2 there is no middle, and the one prefix 0 stands for every input
+    middles, weight = _orbit_representatives(n - 2) if n > 2 else (np.zeros(1, int), np.ones(1, int))
     histogram = np.zeros((n + 1, size), dtype=np.int64)
-    for prefix in range(0, 1 << (n - 1), 1 << fixed):
-        laws = _insertion_count_law(_bits_le(prefix, n - 1))
+    for middle, w in zip((middles << 1).tolist(), weight.tolist()):
+        laws = _insertion_count_law(_bits_le(middle, n - 1))
         for j in range(n + 1):
             values = laws[j] if j < n else 0  # A, or none
             if j:  # B[q] twice where s != b, and added to A[2q + r] where s == b
-                histogram[j] += np.bincount(laws[j - 1], minlength=size) << 1
+                histogram[j] += np.bincount(laws[j - 1], minlength=size) * (2 * w)
                 values = values + np.repeat(laws[j - 1], 2)
-            histogram[j] += np.bincount(values, minlength=size)
+            histogram[j] += np.bincount(values, minlength=size) * w
     k = np.arange(2, size)
     terms = (histogram[:, 2:] * (k * np.log2(k))).tolist()
-    log_weight_mean = np.array([math.fsum(row) for row in terms]) * 2.0 ** (fixed + 1 - n)
+    log_weight_mean = np.array([math.fsum(row) for row in terms]) * 2.0 ** (min(n, 2) - n)
     return log_weight_mean, aggregate
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from synchan import combinatorics
+from synchan import combinatorics, verification
+from synchan.channels import RngState
 from synchan.combinatorics import (
     RunLengthSequence,
     encode,
@@ -89,7 +90,52 @@ class TestRunLengthCoding:
         assert rls.length == 10
 
 
+def recursive_deletion_patterns(runs, d):
+    """The per-run deletion patterns of d deletions, by the recursion the kernel replaced."""
+    runs = tuple(runs)
+
+    def rec(k, remaining, prefix):
+        if k == len(runs):
+            if remaining == 0:
+                yield prefix
+            return
+        capacity_after = sum(runs[k + 1 :])
+        lo = max(0, remaining - capacity_after)
+        hi = min(runs[k], remaining)
+        for dk in range(lo, hi + 1):
+            yield from rec(k + 1, remaining - dk, prefix + (dk,))
+
+    yield from rec(0, d, ())
+
+
+def property_scope_profiles(n_max=12):
+    """The run profiles the property scope draws at its default seed, and more, up to n_max."""
+    gen = RngState(7).generator
+    for n in range(1, n_max + 1):
+        yield (n,)
+        yield (1,) * n
+        yield verification._random_run_profile(gen, n)
+        yield verification._random_run_profile(gen, n)
+    for n in range(1, 9):
+        yield from {tuple(runs_of(bits)) for bits in all_bit_strings(n)}
+
+
 class TestEnumeratePatterns:
+    def test_same_sequence_as_the_recursion(self):
+        # the seeded draws of the pattern mixture depend on the order
+        for runs in property_scope_profiles():
+            for d in range(sum(runs) + 1):
+                got = list(enumerate_deletion_patterns(runs, d))
+                assert got == list(recursive_deletion_patterns(runs, d))
+                assert all(type(dk) is int for pattern in got for dk in pattern)
+
+    def test_kernel_rows_are_every_pattern_once(self):
+        for runs in property_scope_profiles():
+            patterns = combinatorics._deletion_patterns(runs)
+            assert patterns.shape == (math.prod(r + 1 for r in runs), len(runs))
+            assert np.unique(patterns, axis=0).shape == patterns.shape
+            assert (patterns >= 0).all() and (patterns <= runs).all()
+
     def test_tiny_case(self):
         got = set(enumerate_deletion_patterns((2, 1), 1))
         assert got == {(1, 0), (0, 1)}

@@ -13,6 +13,7 @@ from synchan import oracle
 from synchan.combinatorics import encode, subsequence_weight
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
+    ExactDistribution,
     OracleResourceError,
     deletion_awgn_pattern_entropy_bound,
     deletion_output_multiplicities,
@@ -170,6 +171,17 @@ class TestExactDeletionLaw:
     def test_float_mode_mass(self):
         marginal, _ = exact_deletion_law(8, 0.23, include_conditionals=False)
         assert marginal.residual < 1e-12
+
+    def test_rational_mass_is_the_exact_sum(self):
+        values = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(-1, 10), Fraction(3)]
+        support = {(k,) * k: v for k, v in enumerate(values)}
+        mass = ExactDistribution(support, exact=True).mass()
+        assert mass == sum(values, Fraction(0)) and isinstance(mass, Fraction)
+        assert ExactDistribution({}, exact=True).mass() == 0
+
+    def test_float_mass_is_fsum(self):
+        support = {(k % 2,) * (k + 1): 0.1 for k in range(10)}
+        assert ExactDistribution(support, exact=False).mass() == math.fsum([0.1] * 10) == 1.0
 
     def test_conditionals_from_embedding_counts(self):
         p_d = 0.2
@@ -360,6 +372,18 @@ class TestInsertionKernel:
             per_input = math.fsum(float(np.sum(c[c > 1] * np.log2(c[c > 1]))) for c in counts)
             assert log_weight_mean[j] == pytest.approx(per_input / 2**n, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_mean_is_bit_identical_to_full_enumeration(self, n):
+        laws = [oracle._insertion_count_law(x) for x in all_bit_strings(n)]
+        size = 1 + max(int(law[j].max()) for law in laws for j in range(n + 1))
+        histogram = np.array(
+            [sum(np.bincount(law[j], minlength=size) for law in laws) for j in range(n + 1)]
+        )
+        k = np.arange(2, size)
+        terms = (histogram[:, 2:] * (k * np.log2(k))).tolist()
+        expected = np.array([math.fsum(row) for row in terms]) * 2.0**-n
+        assert oracle._insertion_tables(n)[0].tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_count_law_matches_every_event(self, n):
         for x in all_bit_strings(n):
@@ -382,8 +406,9 @@ class TestInsertionKernel:
         report = exact_insertion_entropies(9, p_i)
         assert entropies(report) == pytest.approx(RECORDED_INSERTION_N9[p_i], rel=0, abs=1e-12)
 
-    def test_tables_enumerate_a_quarter_of_the_prefixes(self, monkeypatch):
-        # every (n-1)-bit prefix would be 256 calls at n = 9, and every input 512
+    def test_tables_enumerate_one_prefix_per_orbit(self, monkeypatch):
+        # 36 orbits of the 7 middle bits at n = 9, and the aggregate: every
+        # (n-1)-bit prefix would be 256 calls, and every input 512
         calls = []
         count_law = oracle._insertion_count_law
 
@@ -394,7 +419,7 @@ class TestInsertionKernel:
         monkeypatch.setattr(oracle, "_insertion_count_law", counted)
         oracle._insertion_tables.cache_clear()
         exact_insertion_entropies(9, 0.1)
-        assert 0 < len(calls) <= 2**7
+        assert len(calls) == 36 + 1
 
     @pytest.mark.parametrize("bits", [(0, 2, 1), (0.5, 1), (-1,)])
     def test_conditional_law_rejects_non_bits(self, bits):
