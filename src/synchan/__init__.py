@@ -42,7 +42,6 @@ from .numerics import (
 from .oracle import (
     EntropyReport,
     ExactDistribution,
-    exact_block_entropy,
     exact_deletion_law,
     exact_deletion_substitution_entropies,
     exact_insertion_entropies,

@@ -43,7 +43,6 @@ __all__ = [
     "exact_deletion_substitution_entropies",
     "exact_insertion_entropies",
     "exact_insertion_conditional_law",
-    "exact_block_entropy",
     "mc_awgn_entropy_check",
     "deletion_awgn_pattern_entropy_bound",
     "mc_deletion_awgn_pattern_entropy",
@@ -52,7 +51,6 @@ __all__ = [
 MAX_DELETION_LAW_N = 14
 MAX_DELETION_ENTROPY_N = 12
 MAX_INSERTION_N = 9
-MAX_BLOCK_ENTROPY_N = 64
 
 
 class OracleResourceError(RuntimeError):
@@ -267,10 +265,15 @@ def _deletion_sums(n: int, p_e: float) -> np.ndarray:
     with complementing and reversing, so the per-input sums are enumerated
     once per orbit (:func:`_orbit_representatives`) and weighted by its
     size, and T is the BSC of the integer aggregate.
+
+    Column n, with no deletions, is filled in closed form: each input's one
+    keep set makes S the product law BSC(e_x), whose sum of S log2 S is
+    -n h(p_e), and T is uniform with every entry 1.
     """
     inputs, weight = _orbit_representatives(n)
     sums = np.zeros((4, n + 1))
-    for m in range(n + 1):
+    sums[:, n] = -(1 << n) * n * binary_entropy(p_e), 1 << n, 0.0, 1 << n
+    for m in range(n):
         slog, mass, weighted = [], [], np.zeros(1 << m, dtype=np.int64)
         for rows, counts in _survivor_counts(n, m, inputs):
             law = _bsc(counts, p_e)
@@ -498,27 +501,8 @@ def exact_insertion_conditional_law(
 
 
 # ---------------------------------------------------------------------------
-# high-precision and Monte-Carlo checks
+# Monte-Carlo checks
 # ---------------------------------------------------------------------------
-
-
-def exact_block_entropy(n: int, p: float) -> float:
-    """Binomial block entropy summed at 220-bit precision; oracle for block_entropy."""
-    _check_limit(n, MAX_BLOCK_ENTROPY_N, "high-precision block entropy")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if p in (0.0, 1.0):
-        return 0.0
-    import mpmath  # loaded here, so that importing the package need not pay for it
-
-    with mpmath.workprec(220):
-        mp = mpmath.mpf(p)
-        mq = 1 - mp
-        total = mpmath.mpf(0)
-        for j in range(n + 1):
-            mass = comb(n, j) * mp**j * mq ** (n - j)
-            total -= mass * mpmath.log(mass) / mpmath.log(2)
-        return float(total)
 
 
 @dataclass(frozen=True)

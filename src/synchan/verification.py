@@ -298,11 +298,71 @@ def _chi_square(observed: Sequence[float], expected: Sequence[float]) -> float:
     return _chi2_tail(stat, len(obs) - 1)
 
 
+def _stirlerr(a: float) -> float:
+    """ln Gamma(a + 1) - ln(sqrt(2 pi a) (a/e)^a), by its Stirling series above 15."""
+    if a <= 15.0:
+        return math.lgamma(a + 1.0) - (a + 0.5) * math.log(a) + a - 0.5 * math.log(2.0 * math.pi)
+    inv = 1.0 / (a * a)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - inv / 1188) * inv) * inv) * inv) / a
+
+
+def _bd0(a: float, x: float) -> float:
+    """a ln(a/x) + x - a, summed as a series in (a - x)/(a + x) where it nearly cancels."""
+    if abs(a - x) >= 0.1 * (a + x):
+        return a * math.log(a / x) + x - a
+    v = (a - x) / (a + x)
+    total, term = (a - x) * v, 2.0 * a * v
+    for j in range(1, 1000):
+        term *= v * v
+        total, previous = total + term / (2 * j + 1), total
+        if total == previous:
+            break
+    return total
+
+
+def _gamma_prefactor(a: float, x: float) -> float:
+    """x^a e^-x / Gamma(a) in Loader's (2000) saddle-point form, accurate for large a and x."""
+    return a * math.exp(-_stirlerr(a) - _bd0(a, x)) / math.sqrt(2.0 * math.pi * a)
+
+
 def _chi2_tail(x: float, k: int, upper: bool = True) -> float:
-    """P(X > x), or P(X < x) if not ``upper``, for X chi-square with k degrees of freedom."""
-    import mpmath  # loaded here: only the chi-square checks need it
-    lo, hi = (x / 2, mpmath.inf) if upper else (0, x / 2)
-    return float(mpmath.gammainc(k / 2, lo, hi, regularized=True))
+    """P(X > x), or P(X < x) if not ``upper``, for X chi-square with k degrees of freedom.
+
+    The regularised incomplete gamma function at a = k/2, x/2: its power
+    series below a + 1, and Lentz's continued fraction for the upper tail above.
+    """
+    a, x = 0.5 * k, 0.5 * x
+    if x <= 0.0:
+        return float(upper)
+    if x < a + 1.0:
+        total = term = 1.0 / a
+        for j in range(1, 1_000_000):
+            term *= x / (a + j)
+            total += term
+            if term < total * 1e-17:
+                break
+        else:
+            raise ArithmeticError(f"chi-square series did not converge (x={2 * x!r}, k={k})")
+        lower = total * _gamma_prefactor(a, x)
+        return 1.0 - lower if upper else lower
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c, d = 1.0 / tiny, 1.0 / b
+    total = d
+    for j in range(1, 1_000_000):
+        an = -j * (j - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        total *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    else:
+        raise ArithmeticError(f"chi-square continued fraction did not converge (x={2 * x!r}, k={k})")
+    tail = total * _gamma_prefactor(a, x)
+    return tail if upper else 1.0 - tail
 
 
 def _chi2_quantile(q: float, k: int, upper: bool = True) -> float:
@@ -312,8 +372,8 @@ def _chi2_quantile(q: float, k: int, upper: bool = True) -> float:
     u = math.log(k) + 3.0 * math.log(max(1.0 - a - sign * NormalDist().inv_cdf(q) * math.sqrt(a), 0.1))
     for _ in range(100):
         x = math.exp(u)
-        x_pdf = math.exp(0.5 * k * math.log(0.5 * x) - 0.5 * x - math.lgamma(0.5 * k))
-        step = sign * (_chi2_tail(x, k, upper) - q) / x_pdf
+        # the tail's slope in ln x is x times the density: (x/2)^(k/2) e^(-x/2) / Gamma(k/2)
+        step = sign * (_chi2_tail(x, k, upper) - q) / _gamma_prefactor(0.5 * k, 0.5 * x)
         u += max(-1.0, min(1.0, step))  # at most 1 in ln x, so far starts cannot overshoot
         if abs(step) < 1e-12:
             return math.exp(u)

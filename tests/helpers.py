@@ -1,8 +1,8 @@
-"""Brute-force enumeration helpers shared by several test modules.
+"""Brute-force enumeration and high-precision helpers shared by several test modules.
 
 These are deliberately written in the most direct way possible (string
-enumeration, integer counting) so they stay independent of the library code
-they check.  ``run_python`` runs code in a fresh interpreter.
+enumeration, integer counting, mpmath sums) so they stay independent of the
+library code they check.  ``run_python`` runs code in a fresh interpreter.
 """
 
 import math
@@ -13,7 +13,10 @@ from itertools import combinations
 from math import comb
 from pathlib import Path
 
+import mpmath
+
 import synchan
+from synchan.oracle import OracleResourceError
 
 
 def run_python(*args, timeout=60):
@@ -76,3 +79,18 @@ def brute_subsequence_counts(bits):
             y = tuple(bits[i] for i in keep)
             counts[y] = counts.get(y, 0) + 1
     return counts
+
+
+def exact_block_entropy(n, p):
+    """Binomial block entropy summed at 220-bit precision; oracle for block_entropy."""
+    if n > 64:
+        raise OracleResourceError(f"high-precision block entropy supports n <= 64, got {n}")
+    if p in (0.0, 1.0):
+        return 0.0
+    with mpmath.workprec(220):
+        mp = mpmath.mpf(p)
+        total = mpmath.mpf(0)
+        for j in range(n + 1):
+            mass = comb(n, j) * mp**j * (1 - mp) ** (n - j)
+            total -= mass * mpmath.log(mass, 2)
+        return float(total)

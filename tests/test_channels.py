@@ -405,7 +405,8 @@ class TestSimulatorChecks:
 
 
 # degrees of freedom from one bin to the registered noise-variance test's 10^6
-# samples; mpmath's tail converges within about 4 standard deviations there
+# samples; at large k the tails near the mean test the series, the continued
+# fraction and the saddle-point prefactor where they cancel most
 _CHI2_DOF = [1, 2, 5, 20, 440, 999, 49_999, 999_999]
 
 

@@ -15,9 +15,8 @@ from synchan.numerics import (
     binary_entropy,
     block_entropy,
 )
-from synchan.oracle import exact_block_entropy
 
-from helpers import run_python
+from helpers import exact_block_entropy, run_python
 
 
 class TestBinaryEntropy:

@@ -7,7 +7,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from helpers import all_bit_strings, brute_subsequence_counts
+from helpers import all_bit_strings, brute_subsequence_counts, exact_block_entropy
 
 from synchan import oracle
 from synchan.combinatorics import encode, subsequence_weight
@@ -17,7 +17,6 @@ from synchan.oracle import (
     OracleResourceError,
     deletion_awgn_pattern_entropy_bound,
     deletion_output_multiplicities,
-    exact_block_entropy,
     exact_deletion_law,
     exact_deletion_substitution_entropies,
     exact_insertion_conditional_law,
@@ -299,6 +298,24 @@ class TestDeletionKernel:
         for n in range(1, 9):
             got, expected = oracle._deletion_sums(n, p_e), per_input_deletion_sums(n, p_e)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-11)
+
+    @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
+    def test_no_deletion_column_matches_the_dense_path(self, p_e):
+        # column n is filled in closed form; the dense path pushes every input's
+        # one-hot survivor row through the BSC
+        for n in (1, 2, 5, 9, 12):
+            slog, mass = [], []
+            aggregate = np.zeros(1 << n, dtype=np.int64)
+            for _, counts in oracle._survivor_counts(n, n, np.arange(1 << n)):
+                law = oracle._bsc(counts, p_e)
+                slog.extend(oracle._slog(law, axis=1).tolist())
+                mass.extend(law.sum(axis=1).tolist())
+                aggregate += counts.sum(axis=0)
+            total = oracle._bsc(aggregate[None, :], p_e)[0]
+            column = oracle._deletion_sums(n, p_e)[:, n]
+            dense = [math.fsum(slog), math.fsum(mass), math.fsum(total)]
+            np.testing.assert_allclose(column[[0, 1, 3]], dense, rtol=1e-12, atol=0)
+            assert column[2] == pytest.approx(oracle._slog(total), rel=0, abs=1e-10)
 
     @pytest.mark.parametrize("p_d,p_e", sorted(RECORDED_DELETION_N12))
     def test_largest_reports_are_unchanged(self, p_d, p_e):

@@ -46,15 +46,16 @@ with contextlib.redirect_stdout(io.StringIO()):
     stages["scipy after table I"] = loaded("scipy")
 synchan.verification.run_simulator_checks(scale=0.01)
 stages["scipy after simulator checks"] = loaded("scipy")
+stages["mpmath after simulator checks"] = loaded("mpmath")
 print(json.dumps(stages))
 """
 
 
-def test_runtime_is_scipy_free_and_cli_import_skips_mpmath():
-    # the runtime computes without SciPy, and loads mpmath only where an oracle or
-    # a chi-square check needs it; each would cost its import time on every command
+def test_runtime_loads_neither_scipy_nor_mpmath():
+    # the runtime, chi-square checks included, computes with NumPy alone; either
+    # module would cost its import time on every command that loaded it
     result = run_python("-c", _LOADED_MODULES_SCRIPT)
     assert result.returncode == 0, result.stderr
     stages = json.loads(result.stdout)
     assert stages == {name: [] for name in stages}
-    assert len(stages) == 5
+    assert len(stages) == 6
