@@ -32,7 +32,6 @@ from .combinatorics import (
     mean_pattern_log_weight,
     single_insertion_log_weight,
     single_insertion_log_weight_exact,
-    subsequence_weight,
 )
 from .numerics import (
     awgn_expectation,

@@ -20,7 +20,6 @@ __all__ = [
     "mean_pattern_log_weights",
     "single_insertion_log_weight",
     "single_insertion_log_weight_exact",
-    "subsequence_weight",
 ]
 
 
@@ -222,22 +221,3 @@ def single_insertion_log_weight_exact(n: int) -> float:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     return _single_insertion_sum(n, lambda l: (n - l - 1) / 2.0)
-
-
-def subsequence_weight(x: Sequence[int], y: Sequence[int]) -> int:
-    """Number of distinct deletion index sets carrying x onto y.
-
-    Equivalently, the number of embeddings of y as a subsequence of x.
-    Exact integer dynamic program, O(len(x) * len(y)).
-    """
-    x = tuple(int(b) for b in x)
-    y = tuple(int(b) for b in y)
-    if len(y) > len(x):
-        raise ValueError("y cannot be longer than x")
-    ways = [0] * (len(y) + 1)
-    ways[0] = 1
-    for xi in x:
-        for j in range(len(y), 0, -1):
-            if y[j - 1] == xi:
-                ways[j] += ways[j - 1]
-    return ways[len(y)]

@@ -255,33 +255,42 @@ def _slog(law: np.ndarray, axis=None):
 
 
 @lru_cache(maxsize=32)
-def _deletion_sums(n: int, p_e: float) -> np.ndarray:
-    """The p_d-free part of the deletion-substitution entropies, shape (4, n + 1).
+def _deletion_sums(n: int, p_es: tuple[float, ...]) -> np.ndarray:
+    """The p_d-free part of the deletion-substitution entropies, shape (len(p_es), 4, n + 1).
 
     For the per-input laws S = BSC(survivor counts) of length m and their
-    aggregate T = sum_x S, column m holds sum_x sum_y S log2 S, sum_x sum_y S,
-    sum_y T log2 T and sum_y T.  A length factor f > 0 then turns
-    sum f S log2(f S) into f (sum S log2 S + log2 f sum S).  The BSC commutes
-    with complementing and reversing, so the per-input sums are enumerated
-    once per orbit (:func:`_orbit_representatives`) and weighted by its
-    size, and T is the BSC of the integer aggregate.
+    aggregate T = sum_x S, entry [i, :, m] holds sum_x sum_y S log2 S,
+    sum_x sum_y S, sum_y T log2 T and sum_y T at p_e = p_es[i].  A length
+    factor f > 0 then turns sum f S log2(f S) into
+    f (sum S log2 S + log2 f sum S).  The BSC commutes with complementing
+    and reversing, so the per-input sums are enumerated once per orbit
+    (:func:`_orbit_representatives`) and weighted by its size, and T is the
+    BSC of the integer aggregate.  Each chunk of survivor counts is built
+    once and pushed through the BSC once per p_e, in the same order as for
+    a single p_e, so every row equals the one-p_e result bit for bit.
 
     Column n, with no deletions, is filled in closed form: each input's one
     keep set makes S the product law BSC(e_x), whose sum of S log2 S is
     -n h(p_e), and T is uniform with every entry 1.
     """
     inputs, weight = _orbit_representatives(n)
-    sums = np.zeros((4, n + 1))
-    sums[:, n] = -(1 << n) * n * binary_entropy(p_e), 1 << n, 0.0, 1 << n
+    sums = np.zeros((len(p_es), 4, n + 1))
+    for row, p_e in zip(sums, p_es):
+        row[:, n] = -(1 << n) * n * binary_entropy(p_e), 1 << n, 0.0, 1 << n
     for m in range(n):
-        slog, mass, weighted = [], [], np.zeros(1 << m, dtype=np.int64)
+        slog, mass = [[] for _ in p_es], [[] for _ in p_es]
+        weighted = np.zeros(1 << m, dtype=np.int64)
         for rows, counts in _survivor_counts(n, m, inputs):
-            law = _bsc(counts, p_e)
-            slog.extend((weight[rows] * _slog(law, axis=1)).tolist())
-            mass.extend((weight[rows] * law.sum(axis=1)).tolist())
+            for i, p_e in enumerate(p_es):
+                law = _bsc(counts, p_e)
+                slog[i].extend((weight[rows] * _slog(law, axis=1)).tolist())
+                mass[i].extend((weight[rows] * law.sum(axis=1)).tolist())
             weighted += weight[rows] @ counts
-        total = _bsc(_orbit_aggregate(weighted)[None, :], p_e)[0]
-        sums[:, m] = math.fsum(slog), math.fsum(mass), _slog(total), math.fsum(total)
+        aggregate = _orbit_aggregate(weighted)[None, :]
+        for i, p_e in enumerate(p_es):
+            total = _bsc(aggregate, p_e)[0]
+            sums[i, :, m] = math.fsum(slog[i]), math.fsum(mass[i]), _slog(total), math.fsum(total)
+    sums.flags.writeable = False
     return sums
 
 
@@ -296,10 +305,12 @@ def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     """
     _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
     inputs, weight = _orbit_representatives(n)
-    return tuple(
-        _orbit_aggregate(sum(weight[rows] @ counts for rows, counts in _survivor_counts(n, m, inputs)))
-        for m in range(n + 1)
-    )
+    aggregates = []
+    for m in range(n + 1):
+        weighted = sum(weight[rows] @ counts for rows, counts in _survivor_counts(n, m, inputs))
+        aggregates.append(_orbit_aggregate(weighted))
+        aggregates[-1].flags.writeable = False
+    return tuple(aggregates)
 
 
 def _bits_le(code: int, m: int) -> tuple[int, ...]:
@@ -341,35 +352,46 @@ def exact_deletion_law(
     return ExactDistribution(marginal, exact), conditionals
 
 
+def _deletion_reports(
+    n: int, p_ds: Sequence[float], p_es: Sequence[float]
+) -> dict[tuple[float, float], EntropyReport]:
+    """Exact deletion-substitution reports for every (p_d, p_e) of a grid, from one survivor pass."""
+    _check_limit(n, MAX_DELETION_ENTROPY_N, "deletion-substitution enumeration")
+    if not all(0 <= p <= 1 for p in (*p_ds, *p_es)):
+        raise ValueError("probabilities must lie in [0, 1]")
+    sums = _deletion_sums(n, tuple(float(p_e) for p_e in p_es))
+    weight = 1.0 / (1 << n)
+    reports = {}
+    for p_d in p_ds:
+        h_t = block_entropy(n, p_d)
+        for p_e, (cond_slog, cond_mass, out_slog, out_mass) in zip(p_es, sums):
+            cond_terms, out_terms = [], []
+            for m in range(n + 1):
+                factor = p_d ** (n - m) * (1.0 - p_d) ** m
+                if factor > 0:
+                    cond_terms.append(factor * (cond_slog[m] + math.log2(factor) * cond_mass[m]))
+                factor *= weight
+                if factor > 0:
+                    out_terms.append(factor * (out_slog[m] + math.log2(factor) * out_mass[m]))
+            conditional = -math.fsum(cond_terms) * weight
+            output = -math.fsum(out_terms)
+            mutual = output - conditional
+            bound = deletion_substitution_bound(n, p_d, p_e)
+            prop_ub = n * (1.0 - p_d) - n * bound.rate
+            chain = (
+                Comparison.make("output_entropy_identity", output, n * (1.0 - p_d) + h_t, "eq", 1e-9),
+                Comparison.make("conditional_entropy_bound", prop_ub, conditional, "ge", 1e-12),
+                Comparison.make("capacity_chain", bound.rate, (mutual - h_t) / n, "le", 1e-12),
+            )
+            reports[p_d, p_e] = EntropyReport(
+                "deletion_substitution", n, output, conditional, mutual, h_t, chain, "float64"
+            )
+    return reports
+
+
 def exact_deletion_substitution_entropies(n: int, p_d: float, p_e: float) -> EntropyReport:
     """Exact H(Y'), H(Y'|X), and I(X;Y') for the deletion-substitution channel."""
-    _check_limit(n, MAX_DELETION_ENTROPY_N, "deletion-substitution enumeration")
-    if not 0 <= p_d <= 1 or not 0 <= p_e <= 1:
-        raise ValueError("probabilities must lie in [0, 1]")
-    cond_slog, cond_mass, out_slog, out_mass = _deletion_sums(n, float(p_e))
-    weight = 1.0 / (1 << n)
-    cond_terms, out_terms = [], []
-    for m in range(n + 1):
-        factor = p_d ** (n - m) * (1.0 - p_d) ** m
-        if factor > 0:
-            cond_terms.append(factor * (cond_slog[m] + math.log2(factor) * cond_mass[m]))
-        factor *= weight
-        if factor > 0:
-            out_terms.append(factor * (out_slog[m] + math.log2(factor) * out_mass[m]))
-    conditional = -math.fsum(cond_terms) * weight
-    output = -math.fsum(out_terms)
-    mutual = output - conditional
-    h_t = block_entropy(n, p_d)
-    bound = deletion_substitution_bound(n, p_d, p_e)
-    prop_ub = n * (1.0 - p_d) - n * bound.rate
-    chain = (
-        Comparison.make("output_entropy_identity", output, n * (1.0 - p_d) + h_t, "eq", 1e-9),
-        Comparison.make("conditional_entropy_bound", prop_ub, conditional, "ge", 1e-12),
-        Comparison.make("capacity_chain", bound.rate, (mutual - h_t) / n, "le", 1e-12),
-    )
-    return EntropyReport(
-        "deletion_substitution", n, output, conditional, mutual, h_t, chain, "float64"
-    )
+    return _deletion_reports(n, (p_d,), (p_e,))[p_d, p_e]
 
 
 # ---------------------------------------------------------------------------
@@ -377,58 +399,72 @@ def exact_deletion_substitution_entropies(n: int, p_d: float, p_e: float) -> Ent
 # ---------------------------------------------------------------------------
 
 
-def _insertion_count_law(bits: Sequence[int]) -> list[np.ndarray]:
-    """Integer event counts per output: entry j is an array over all (n+j)-bit codes.
+def _insertion_count_law(bits: Sequence[int]) -> np.ndarray:
+    """Integer event counts per output, packed: entry ``(1 << m) | y`` counts the m-bit output y.
 
-    Every (position-set, replacement-choice) event with j replacements has
-    the same probability (p/4)^j (1-p)^(n-j), so integer counts determine the
+    So the (n+j)-bit outputs, with j replacements, are the slice
+    [2^(n+j), 2^(n+j+1)), and entries below 2^n are zero.  Every
+    (position-set, replacement-choice) event with j replacements has the
+    same probability (p/4)^j (1-p)^(n-j), so integer counts determine the
     conditional law for every p at once.  A symbol 2 stands for both bit
-    values, summing the two inputs' counts.  Codes are big-endian.
+    values, summing the two inputs' counts.  Codes are big-endian, so
+    appending bits multiplies the packed index: each symbol repeats the law
+    four times (a replacement by any bit pair) and adds it into the pairs
+    below (the symbol kept).
     """
-    laws: dict[int, np.ndarray] = {0: np.ones(1, dtype=np.int64)}
+    law = np.array([0, 1], dtype=np.int64)  # the empty output, at index 1 << 0
     for keep_weights in np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)[list(bits)]:
-        new: dict[int, np.ndarray] = {}
-        for m, arr in laws.items():
-            keep = new.setdefault(m + 1, np.zeros(1 << (m + 1), dtype=np.int64))
-            keep.reshape(-1, 2)[:, :] += arr[:, None] * keep_weights
-            repl = new.setdefault(m + 2, np.zeros(1 << (m + 2), dtype=np.int64))
-            repl.reshape(-1, 4)[:, :] += arr[:, None] * keep_weights.sum()
-        laws = new
-    return [laws[len(bits) + j] for j in range(len(bits) + 1)]
+        new = np.repeat(law * keep_weights.sum(), 4)
+        new[: 2 * law.size].reshape(-1, 2)[:, :] += law[:, None] * keep_weights
+        law = new
+    return law
+
+
+def _by_length(law: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The slices of a packed n-symbol count law, one per number j = 0..n of replacements."""
+    return tuple(law[1 << (n + j) : 2 << (n + j)] for j in range(n + 1))
 
 
 @lru_cache(maxsize=MAX_INSERTION_N)
-def _insertion_tables(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """(mean of sum_y c_j(x,y) log2 c_j(x,y) over x, aggregate counts per length).
+def _insertion_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mean of sum_y c_j(x,y) log2 c_j(x,y) over x, packed aggregate count law).
 
     The mean needs only the histogram of count values over the outputs of x.
     It is the same for x, its complement, its reversal and either last bit
     b: the last step writes c[4q + 2r + s] = B[q] + [s == b] A[2q + r] from
-    the laws A, B of the first n - 1 bits one and two symbols shorter.  So
-    (by reversal) the first bit does not matter either, and the histogram
-    depends only on the orbit of the middle n - 2 bits under {identity,
-    complement, reversal, both}: one (n-1)-bit prefix 0 + middle is
-    enumerated per orbit (36 at n = 9), weighted by the orbit's size, and
-    the last step is folded into the histogram.
+    the laws A, B of the first k = n - 1 bits with j and j - 1
+    replacements.  So (by reversal) the first bit does not matter either,
+    and the histogram depends only on the orbit of the middle n - 2 bits
+    under {identity, complement, reversal, both}: one k-bit prefix
+    0 + middle is enumerated per orbit (36 at n = 9), weighted by the
+    orbit's size.  In its packed law P, B of entry t is P[t >> 1], so the
+    last step is folded in over every j at once: the entries with s == b
+    are P + repeat(P[:size / 2], 2), and those with s != b are P's own
+    entries twice, one row further on (four times at row n, which has no
+    A).  Each is one bincount, with every length offset into its own row.
     """
     _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
-    aggregate = tuple(_insertion_count_law((2,) * n))
+    aggregate = _insertion_count_law((2,) * n)
+    aggregate.flags.writeable = False
     # no input's count exceeds the aggregate count of the same output
-    size = 1 + max(int(agg.max()) for agg in aggregate)
+    size = 1 + int(aggregate.max())
     # for n <= 2 there is no middle, and the one prefix 0 stands for every input
     middles, weight = _orbit_representatives(n - 2) if n > 2 else (np.zeros(1, int), np.ones(1, int))
-    histogram = np.zeros((n + 1, size), dtype=np.int64)
+    k = n - 1
+    # the histogram row of each prefix entry at index 2^k and above: j, of length k + j
+    offsets = np.repeat(np.arange(n) * size, 1 << np.arange(k, 2 * k + 1))
+    histogram = np.zeros((n + 1) * size, dtype=np.int64)
     for middle, w in zip((middles << 1).tolist(), weight.tolist()):
-        laws = _insertion_count_law(_bits_le(middle, n - 1))
-        for j in range(n + 1):
-            values = laws[j] if j < n else 0  # A, or none
-            if j:  # B[q] twice where s != b, and added to A[2q + r] where s == b
-                histogram[j] += np.bincount(laws[j - 1], minlength=size) * (2 * w)
-                values = values + np.repeat(laws[j - 1], 2)
-            histogram[j] += np.bincount(values, minlength=size) * w
-    k = np.arange(2, size)
-    terms = (histogram[:, 2:] * (k * np.log2(k))).tolist()
+        law = _insertion_count_law(_bits_le(middle, k))
+        folded = (law + np.repeat(law[: law.size // 2], 2))[1 << k :]
+        histogram += np.bincount(folded + offsets, minlength=histogram.size) * w
+        twice = np.bincount(law[1 << k :] + offsets, minlength=n * size) * (2 * w)
+        histogram[size:] += twice
+        histogram[n * size :] += twice[k * size :]
+    counts = np.arange(2, size)
+    terms = (histogram.reshape(n + 1, size)[:, 2:] * (counts * np.log2(counts))).tolist()
     log_weight_mean = np.array([math.fsum(row) for row in terms]) * 2.0 ** (min(n, 2) - n)
+    log_weight_mean.flags.writeable = False
     return log_weight_mean, aggregate
 
 
@@ -440,7 +476,7 @@ def insertion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     uniformity of the i.u.d. output law is equivalent to every element of
     entry j equalling 2^j * C(n, j).
     """
-    return _insertion_tables(n)[1]
+    return _by_length(_insertion_tables(n)[1], n)
 
 
 def _insertion_alpha(n: int, p_i: float) -> np.ndarray:
@@ -453,7 +489,8 @@ def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
     """Exact H(Y), H(Y|X), and I(X;Y) for the random insertion channel."""
     if not 0 <= p_i <= 1:
         raise ValueError(f"p_i must lie in [0, 1], got {p_i!r}")
-    log_weight_mean, aggregate = _insertion_tables(n)
+    log_weight_mean, packed = _insertion_tables(n)
+    aggregate = _by_length(packed, n)
     alpha = _insertion_alpha(n, p_i)
     log_weight = math.fsum(alpha[j] * log_weight_mean[j] for j in range(n + 1))
     conditional = n * binary_entropy(p_i) + 2.0 * n * p_i - log_weight
@@ -489,7 +526,7 @@ def exact_insertion_conditional_law(
     _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
     alpha = _insertion_alpha(n, p_i)
     law: dict[tuple[int, ...], float] = {}
-    for j, arr in enumerate(_insertion_count_law([int(b) for b in bits])):
+    for j, arr in enumerate(_by_length(_insertion_count_law([int(b) for b in bits]), n)):
         if alpha[j] == 0.0:
             continue
         # product yields every (n+j)-bit row in big-endian code order, so

@@ -182,11 +182,8 @@ def run_oracle_checks(
 
     worst = 0.0
     for n in deletion_n:
-        for p_d in DELETION_GRID_P:
-            for p_e in SUBSTITUTION_GRID_P:
-                report = oracle.exact_deletion_substitution_entropies(n, p_d, p_e)
-                identity = report.bound_chain[0]
-                worst = max(worst, abs(identity.margin))
+        for report in oracle._deletion_reports(n, DELETION_GRID_P, SUBSTITUTION_GRID_P).values():
+            worst = max(worst, abs(report.bound_chain[0].margin))
     checks.append(
         _check(
             "deletion_output_entropy_identity",
@@ -245,17 +242,16 @@ def run_chain_checks(
     """Conditional-entropy bounds and capacity chains against exact enumeration."""
     checks = []
     for n in deletion_n:
-        for p_d in DELETION_GRID_P:
-            for p_e in SUBSTITUTION_GRID_P:
-                report = oracle.exact_deletion_substitution_entropies(n, p_d, p_e)
-                for c in report.bound_chain[1:]:
-                    checks.append(
-                        _check(
-                            f"deletion_{c.label}[n={n},pd={p_d},pe={p_e}]",
-                            c.holds,
-                            f"margin {c.margin:+.3e}",
-                        )
+        reports = oracle._deletion_reports(n, DELETION_GRID_P, SUBSTITUTION_GRID_P)
+        for (p_d, p_e), report in reports.items():
+            for c in report.bound_chain[1:]:
+                checks.append(
+                    _check(
+                        f"deletion_{c.label}[n={n},pd={p_d},pe={p_e}]",
+                        c.holds,
+                        f"margin {c.margin:+.3e}",
                     )
+                )
     for n in insertion_n:
         if n < 2:
             continue

@@ -81,6 +81,33 @@ def brute_subsequence_counts(bits):
     return counts
 
 
+def subsequence_weight(x, y):
+    """Number of distinct deletion index sets carrying x onto y.
+
+    Equivalently, the number of embeddings of y as a subsequence of x.
+    Exact integer dynamic program, O(len(x) * len(y)).
+    """
+    x = tuple(int(b) for b in x)
+    y = tuple(int(b) for b in y)
+    if len(y) > len(x):
+        raise ValueError("y cannot be longer than x")
+    ways = [0] * (len(y) + 1)
+    ways[0] = 1
+    for xi in x:
+        for j in range(len(y), 0, -1):
+            if y[j - 1] == xi:
+                ways[j] += ways[j - 1]
+    return ways[len(y)]
+
+
+def count_law_by_length(law, n):
+    """Split a packed insertion count law of an n-symbol input into its output lengths n..2n.
+
+    The packed law holds the count of the m-bit output y at index 2^m + y.
+    """
+    return [law[2**m : 2 ** (m + 1)] for m in range(n, 2 * n + 1)]
+
+
 def exact_block_entropy(n, p):
     """Binomial block entropy summed at 220-bit precision; oracle for block_entropy."""
     if n > 64:

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from helpers import subsequence_weight
 from scipy import stats
 
 from synchan import channels
@@ -14,7 +15,6 @@ from synchan.channels import (
     simulate_deletion_substitution,
     simulate_gallager_insertion,
 )
-from synchan.combinatorics import subsequence_weight
 from synchan.oracle import exact_insertion_conditional_law
 from synchan.verification import _chi2_quantile, _chi2_tail, _ks_pvalue, run_simulator_checks
 

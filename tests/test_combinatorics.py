@@ -17,7 +17,6 @@ from synchan.combinatorics import (
     mean_pattern_log_weights,
     single_insertion_log_weight,
     single_insertion_log_weight_exact,
-    subsequence_weight,
 )
 
 from helpers import (
@@ -27,6 +26,7 @@ from helpers import (
     brute_subsequence_counts,
     run_python,
     runs_of,
+    subsequence_weight,
 )
 
 bits_of = lambda s: [int(c) for c in s]

@@ -7,10 +7,16 @@ from math import comb
 
 import numpy as np
 import pytest
-from helpers import all_bit_strings, brute_subsequence_counts, exact_block_entropy
+from helpers import (
+    all_bit_strings,
+    brute_subsequence_counts,
+    count_law_by_length,
+    exact_block_entropy,
+    subsequence_weight,
+)
 
 from synchan import oracle
-from synchan.combinatorics import encode, subsequence_weight
+from synchan.combinatorics import encode
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
     ExactDistribution,
@@ -296,7 +302,7 @@ class TestDeletionKernel:
     @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
     def test_sums_match_a_per_input_loop(self, p_e):
         for n in range(1, 9):
-            got, expected = oracle._deletion_sums(n, p_e), per_input_deletion_sums(n, p_e)
+            got, expected = oracle._deletion_sums(n, (p_e,))[0], per_input_deletion_sums(n, p_e)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-11)
 
     @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
@@ -312,16 +318,73 @@ class TestDeletionKernel:
                 mass.extend(law.sum(axis=1).tolist())
                 aggregate += counts.sum(axis=0)
             total = oracle._bsc(aggregate[None, :], p_e)[0]
-            column = oracle._deletion_sums(n, p_e)[:, n]
+            column = oracle._deletion_sums(n, (p_e,))[0, :, n]
             dense = [math.fsum(slog), math.fsum(mass), math.fsum(total)]
             np.testing.assert_allclose(column[[0, 1, 3]], dense, rtol=1e-12, atol=0)
             assert column[2] == pytest.approx(oracle._slog(total), rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("grid", [(0.0, 0.05), (0.05, 0.0, 0.3)])
+    def test_grid_rows_equal_single_p_e_sums(self, grid):
+        for n in (1, 2, 5, 9, 12):
+            sums = oracle._deletion_sums(n, grid)
+            assert sums.shape == (len(grid), 4, n + 1)
+            for row, p_e in zip(sums, grid):
+                assert row.tobytes() == oracle._deletion_sums(n, (p_e,))[0].tobytes()
+
+    def test_one_survivor_pass_per_block_length(self, monkeypatch):
+        # one pass per m < n serves every p_e: 12 calls at n = 12, not 12 per p_e
+        calls = []
+        survivor_counts = oracle._survivor_counts
+
+        def counted(n, m, inputs):
+            calls.append(m)
+            return survivor_counts(n, m, inputs)
+
+        monkeypatch.setattr(oracle, "_survivor_counts", counted)
+        oracle._deletion_sums.cache_clear()
+        oracle._deletion_sums(12, (0.0, 0.05))
+        assert sorted(calls) == list(range(12))
+
+    def test_grid_reports_equal_single_reports(self):
+        p_ds, p_es = (0.0, 0.1, 0.3), (0.05, 0.0)
+        for n in (1, 4, 9):
+            reports = oracle._deletion_reports(n, p_ds, p_es)
+            assert list(reports) == [(p_d, p_e) for p_d in p_ds for p_e in p_es]
+            for (p_d, p_e), report in reports.items():
+                assert report == exact_deletion_substitution_entropies(n, p_d, p_e)
+
+    @pytest.mark.parametrize("p_ds,p_es", [((0.1, 1.5), (0.0,)), ((0.1,), (0.0, -0.1))])
+    def test_grid_reports_reject_invalid_probabilities(self, p_ds, p_es):
+        with pytest.raises(ValueError, match="probabilities"):
+            oracle._deletion_reports(4, p_ds, p_es)
 
     @pytest.mark.parametrize("p_d,p_e", sorted(RECORDED_DELETION_N12))
     def test_largest_reports_are_unchanged(self, p_d, p_e):
         report = exact_deletion_substitution_entropies(12, p_d, p_e)
         assert entropies(report) == pytest.approx(RECORDED_DELETION_N12[p_d, p_e], rel=0, abs=1e-12)
         assert report.all_hold
+
+
+class TestCachedArraysAreReadOnly:
+    def test_deletion_multiplicities(self):
+        before = deletion_output_multiplicities(5)[2].copy()
+        with pytest.raises(ValueError):
+            deletion_output_multiplicities(5)[2][0] = 999
+        assert np.array_equal(deletion_output_multiplicities(5)[2], before)
+
+    def test_insertion_tables(self):
+        before = [a.copy() for a in insertion_output_multiplicities(5)]
+        with pytest.raises(ValueError):
+            insertion_output_multiplicities(5)[2][0] = 999
+        with pytest.raises(ValueError):
+            oracle._insertion_tables(5)[0][2] = 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(insertion_output_multiplicities(5), before))
+
+    def test_deletion_sums(self):
+        before = oracle._deletion_sums(5, (0.05,)).copy()
+        with pytest.raises(ValueError):
+            oracle._deletion_sums(5, (0.05,))[0, 0, 0] = 999.0
+        assert np.array_equal(oracle._deletion_sums(5, (0.05,)), before)
 
 
 def orbit_codes(code, n):
@@ -380,8 +443,9 @@ class TestBsc:
 class TestInsertionKernel:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_tables_equal_per_input_sums(self, n):
-        laws = [oracle._insertion_count_law(x) for x in all_bit_strings(n)]
-        log_weight_mean, aggregate = oracle._insertion_tables(n)
+        laws = [count_law_by_length(oracle._insertion_count_law(x), n) for x in all_bit_strings(n)]
+        log_weight_mean, packed = oracle._insertion_tables(n)
+        aggregate = count_law_by_length(packed, n)
         for j in range(n + 1):
             counts = [law[j] for law in laws]
             assert aggregate[j].dtype == np.int64
@@ -391,7 +455,7 @@ class TestInsertionKernel:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_mean_is_bit_identical_to_full_enumeration(self, n):
-        laws = [oracle._insertion_count_law(x) for x in all_bit_strings(n)]
+        laws = [count_law_by_length(oracle._insertion_count_law(x), n) for x in all_bit_strings(n)]
         size = 1 + max(int(law[j].max()) for law in laws for j in range(n + 1))
         histogram = np.array(
             [sum(np.bincount(law[j], minlength=size) for law in laws) for j in range(n + 1)]
@@ -405,10 +469,18 @@ class TestInsertionKernel:
     def test_count_law_matches_every_event(self, n):
         for x in all_bit_strings(n):
             expected = brute_insertion_counts(x)
-            for j, arr in enumerate(oracle._insertion_count_law(x)):
+            for j, arr in enumerate(count_law_by_length(oracle._insertion_count_law(x), n)):
                 for code, count in enumerate(arr.tolist()):
                     y = tuple((code >> (n + j - 1 - i)) & 1 for i in range(n + j))
                     assert count == expected.get(y, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_packed_law_is_zero_below_the_input_length(self, n):
+        gen = np.random.default_rng(n)
+        for bits in ((2,) * n, tuple(gen.integers(0, 2, size=n))):
+            law = oracle._insertion_count_law(bits)
+            assert law.dtype == np.int64 and law.size == 2 << (2 * n)
+            assert not law[: 1 << n].any()
 
     @pytest.mark.parametrize("p_i", [0.0, 0.01, 0.3, 1.0])
     def test_entropies_match_brute_force(self, p_i):
