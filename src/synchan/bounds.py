@@ -126,8 +126,6 @@ def gallager_bound(params: ChannelParams) -> BoundResult:
 _PMF_LOG2_WINDOW = 50.0
 
 
-# sweeps repeat each (n, p_d) across their p_e or SNR axis
-@lru_cache(maxsize=1024)
 def _pattern_gain(n: int, p_d: float) -> float:
     """(1/n) sum over j of W_j(n) C(n,j) p^j (1-p)^(n-j), j-range truncated."""
     if p_d == 0.0 or p_d == 1.0:

@@ -260,7 +260,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scopes = args.scope or ["all"]
+    # each scope once, in the order first given
+    scopes = list(dict.fromkeys(args.scope or ["all"]))
     if "all" in scopes:
         scopes = list(_SCOPES)
     if not 0.0 < args.mc_samples < math.inf:

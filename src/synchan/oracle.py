@@ -51,6 +51,8 @@ __all__ = [
 MAX_DELETION_LAW_N = 14
 MAX_DELETION_ENTROPY_N = 12
 MAX_INSERTION_N = 9
+# a Monte-Carlo check holds within this many standard errors of its closed form
+MC_MAX_SIGMAS = 4.0
 
 
 class OracleResourceError(RuntimeError):
@@ -255,46 +257,51 @@ def _slog(law: np.ndarray, axis=None):
 
 
 @lru_cache(maxsize=32)
-def _deletion_sums(n: int, p_es: tuple[float, ...]) -> np.ndarray:
-    """The p_d-free part of the deletion-substitution entropies, shape (len(p_es), 4, n + 1).
+def _deletion_sums(n: int, p_es: tuple[float, ...]) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The p_d-free sums of the deletion-substitution entropies, and the aggregate survivor counts.
 
-    For the per-input laws S = BSC(survivor counts) of length m and their
-    aggregate T = sum_x S, entry [i, :, m] holds sum_x sum_y S log2 S,
-    sum_x sum_y S, sum_y T log2 T and sum_y T at p_e = p_es[i].  A length
-    factor f > 0 then turns sum f S log2(f S) into
-    f (sum S log2 S + log2 f sum S).  The BSC commutes with complementing
-    and reversing, so the per-input sums are enumerated once per orbit
-    (:func:`_orbit_representatives`) and weighted by its size, and T is the
-    BSC of the integer aggregate.  Each chunk of survivor counts is built
-    once and pushed through the BSC once per p_e, in the same order as for
-    a single p_e, so every row equals the one-p_e result bit for bit.
+    The sums have shape (len(p_es), 4, n + 1).  For the per-input laws
+    S = BSC(survivor counts) of length m and their aggregate T = sum_x S,
+    entry [i, :, m] holds sum_x sum_y S log2 S, sum_x sum_y S,
+    sum_y T log2 T and sum_y T at p_e = p_es[i].  A length factor f > 0
+    then turns sum f S log2(f S) into f (sum S log2 S + log2 f sum S).  The
+    BSC commutes with complementing and reversing, so the per-input sums
+    are enumerated once per orbit (:func:`_orbit_representatives`) and
+    weighted by its size, and T is the BSC of the integer aggregate.  Each
+    chunk of survivor counts is built once and pushed through the BSC once
+    per p_e, in the same order as for a single p_e, so every row equals the
+    one-p_e result bit for bit.  The integer aggregates, one per m, are
+    :func:`deletion_output_multiplicities`.
 
     Column n, with no deletions, is filled in closed form: each input's one
     keep set makes S the product law BSC(e_x), whose sum of S log2 S is
-    -n h(p_e), and T is uniform with every entry 1.
+    -n h(p_e), and T is uniform with every entry 1.  Its aggregate is still
+    enumerated, so that the uniformity checks test it.
     """
     inputs, weight = _orbit_representatives(n)
     sums = np.zeros((len(p_es), 4, n + 1))
     for row, p_e in zip(sums, p_es):
         row[:, n] = -(1 << n) * n * binary_entropy(p_e), 1 << n, 0.0, 1 << n
-    for m in range(n):
-        slog, mass = [[] for _ in p_es], [[] for _ in p_es]
+    aggregates = []
+    for m in range(n + 1):
+        grid = p_es if m < n else ()
+        slog, mass = [[] for _ in grid], [[] for _ in grid]
         weighted = np.zeros(1 << m, dtype=np.int64)
         for rows, counts in _survivor_counts(n, m, inputs):
-            for i, p_e in enumerate(p_es):
+            for i, p_e in enumerate(grid):
                 law = _bsc(counts, p_e)
                 slog[i].extend((weight[rows] * _slog(law, axis=1)).tolist())
                 mass[i].extend((weight[rows] * law.sum(axis=1)).tolist())
             weighted += weight[rows] @ counts
-        aggregate = _orbit_aggregate(weighted)[None, :]
-        for i, p_e in enumerate(p_es):
-            total = _bsc(aggregate, p_e)[0]
+        aggregates.append(_orbit_aggregate(weighted))
+        aggregates[-1].flags.writeable = False
+        for i, p_e in enumerate(grid):
+            total = _bsc(aggregates[-1][None, :], p_e)[0]
             sums[i, :, m] = math.fsum(slog[i]), math.fsum(mass[i]), _slog(total), math.fsum(total)
     sums.flags.writeable = False
-    return sums
+    return sums, tuple(aggregates)
 
 
-@lru_cache(maxsize=2)
 def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     """Aggregate integer deletion multiplicities summed over all inputs.
 
@@ -304,13 +311,7 @@ def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     element of entry m equalling 2^(n-m) * C(n, n-m).
     """
     _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
-    inputs, weight = _orbit_representatives(n)
-    aggregates = []
-    for m in range(n + 1):
-        weighted = sum(weight[rows] @ counts for rows, counts in _survivor_counts(n, m, inputs))
-        aggregates.append(_orbit_aggregate(weighted))
-        aggregates[-1].flags.writeable = False
-    return tuple(aggregates)
+    return _deletion_sums(n, ())[1]
 
 
 def _bits_le(code: int, m: int) -> tuple[int, ...]:
@@ -359,7 +360,7 @@ def _deletion_reports(
     _check_limit(n, MAX_DELETION_ENTROPY_N, "deletion-substitution enumeration")
     if not all(0 <= p <= 1 for p in (*p_ds, *p_es)):
         raise ValueError("probabilities must lie in [0, 1]")
-    sums = _deletion_sums(n, tuple(float(p_e) for p_e in p_es))
+    sums, _ = _deletion_sums(n, tuple(float(p_e) for p_e in p_es))
     weight = 1.0 / (1 << n)
     reports = {}
     for p_d in p_ds:
@@ -522,6 +523,8 @@ def exact_insertion_conditional_law(
     """Exact law of the insertion-channel output for one fixed input of 0s and 1s."""
     if any(b not in (0, 1) for b in bits):
         raise ValueError("bits must be 0 or 1")
+    if not 0 <= p_i <= 1:
+        raise ValueError(f"p_i must lie in [0, 1], got {p_i!r}")
     n = len(bits)
     _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
     alpha = _insertion_alpha(n, p_i)
@@ -560,9 +563,7 @@ def _mixture_neg_log2_density(y: np.ndarray, sigma: float) -> np.ndarray:
     return scale - np.logaddexp(a, b) / LN2
 
 
-def mc_awgn_entropy_check(
-    sigma: float, samples: int = 10_000_000, seed: int = 0, max_sigmas: float = 4.0
-) -> McCheck:
+def mc_awgn_entropy_check(sigma: float, samples: int = 10_000_000, seed: int = 0) -> McCheck:
     """Monte-Carlo differential entropy of the antipodal AWGN output marginal.
 
     Estimates -E[log2 f(y)] under the balanced two-Gaussian mixture and
@@ -590,7 +591,7 @@ def mc_awgn_entropy_check(
     std_error = math.sqrt(variance / samples)
     closed = math.log2(2.0 * sigma * math.sqrt(2.0 * math.pi * math.e)) - awgn_expectation(sigma)
     deviation = abs(estimate - closed) / std_error if std_error > 0 else 0.0
-    return McCheck(estimate, closed, std_error, deviation, deviation <= max_sigmas)
+    return McCheck(estimate, closed, std_error, deviation, deviation <= MC_MAX_SIGMAS)
 
 
 def _pattern_mixture(x: RunLengthSequence, d: int):

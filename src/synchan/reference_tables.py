@@ -141,21 +141,21 @@ def table1_diffs() -> list[CellDiff]:
     return diffs
 
 
-def table2_diffs(n_max: int = OPTIMIZE_N_MAX) -> list[CellDiff]:
+def table2_diffs() -> list[CellDiff]:
     """Regenerate every cell of the random-insertion table, optima included."""
     diffs = []
     for p_i, ref_g, ref_loss, ref_n in TABLE2_LEFT:
         row = (p_i, 0.0)
         g = gallager_bound(ChannelParams.insertion(p_i)).rate
         diffs.append(_diff("table2_left", row, "loss_gallager", ref_g, 1.0 - g, "rel"))
-        n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(p_i), n_max)
+        n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(p_i), OPTIMIZE_N_MAX)
         diffs.append(_diff("table2_left", row, "loss_bound", ref_loss, 1.0 - best.rate, "rel"))
         diffs.append(_diff("table2_left", row, "optimal_n", ref_n, n_star, "exact"))
     for p_i, ref_g, ref_rate, ref_n in TABLE2_RIGHT:
         row = (p_i, 0.0)
         g = gallager_bound(ChannelParams.insertion(p_i)).rate
         diffs.append(_diff("table2_right", row, "gallager", ref_g, g, "abs"))
-        n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(p_i), n_max)
+        n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(p_i), OPTIMIZE_N_MAX)
         diffs.append(_diff("table2_right", row, "bound", ref_rate, best.rate, "abs"))
         diffs.append(_diff("table2_right", row, "optimal_n", ref_n, n_star, "exact"))
     return diffs

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from statistics import NormalDist
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,6 +50,8 @@ KS_SIGMA = 1.0
 NOISE_SAMPLES = 1_000_000
 NOISE_SIGMA = 0.7
 AWGN_MC_SAMPLES = 1_000_000
+# the property checks enumerate block lengths 1..PROPERTY_N_MAX
+PROPERTY_N_MAX = 12
 # the looped checks feed their trials in chunks of at most this many input bits
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -90,14 +91,15 @@ def _random_run_profile(gen, n: int) -> tuple[int, ...]:
     return tuple(lengths)
 
 
-def run_property_checks(n_max: int = 12, seed: int = 7) -> list[Check]:
+def run_property_checks(seed: int = 7) -> list[Check]:
     """Vandermonde pattern counts, run-count identities, law normalization."""
     checks = []
     gen = RngState(seed).generator
 
     worst = 0
-    pascal = np.array([[comb(a, b) for b in range(n_max + 1)] for a in range(n_max + 1)])
-    for n in range(1, n_max + 1):
+    sizes = range(PROPERTY_N_MAX + 1)
+    pascal = np.array([[comb(a, b) for b in sizes] for a in sizes])
+    for n in range(1, PROPERTY_N_MAX + 1):
         profiles = {(n,), tuple([1] * n), _random_run_profile(gen, n), _random_run_profile(gen, n)}
         for runs in profiles:
             # sum over the patterns of each d of the product of C(n_k, d_k)
@@ -109,13 +111,13 @@ def run_property_checks(n_max: int = 12, seed: int = 7) -> list[Check]:
         _check(
             "vandermonde_pattern_counts",
             worst == 0,
-            f"max |sum - C(n,d)| = {worst} over n <= {n_max}",
+            f"max |sum - C(n,d)| = {worst} over n <= {PROPERTY_N_MAX}",
         )
     )
 
     worst_count = 0.0
     worst_len = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, PROPERTY_N_MAX + 1):
         # a run of an input ends where the next bit differs or the block ends; every
         # row ends one at its last bit, so in row-major order run ends are a run apart
         bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
@@ -131,7 +133,7 @@ def run_property_checks(n_max: int = 12, seed: int = 7) -> list[Check]:
         _check(
             "expected_run_count_enumeration",
             worst_count < 1e-9,
-            f"max count deviation {worst_count:.2e} over n <= {n_max}",
+            f"max count deviation {worst_count:.2e} over n <= {PROPERTY_N_MAX}",
         )
     )
     checks.append(
@@ -361,19 +363,9 @@ def _chi2_tail(x: float, k: int, upper: bool = True) -> float:
     return tail if upper else 1.0 - tail
 
 
-def _chi2_quantile(q: float, k: int, upper: bool = True) -> float:
-    """The x with ``_chi2_tail(x, k, upper) == q``: Newton on ln x from Wilson-Hilferty's x."""
-    sign = 1.0 if upper else -1.0
-    a = 2.0 / (9.0 * k)
-    u = math.log(k) + 3.0 * math.log(max(1.0 - a - sign * NormalDist().inv_cdf(q) * math.sqrt(a), 0.1))
-    for _ in range(100):
-        x = math.exp(u)
-        # the tail's slope in ln x is x times the density: (x/2)^(k/2) e^(-x/2) / Gamma(k/2)
-        step = sign * (_chi2_tail(x, k, upper) - q) / _gamma_prefactor(0.5 * k, 0.5 * x)
-        u += max(-1.0, min(1.0, step))  # at most 1 in ln x, so far starts cannot overshoot
-        if abs(step) < 1e-12:
-            return math.exp(u)
-    raise ArithmeticError(f"chi-square quantile did not converge (q={q!r}, k={k})")
+def _chi2_two_sided(x: float, k: int) -> float:
+    """Two-sided p-value of a chi-square statistic with k degrees of freedom: twice its smaller tail."""
+    return 2.0 * min(_chi2_tail(x, k, upper=False), _chi2_tail(x, k))
 
 
 def _ks_pvalue(d: float, n: int) -> float:
@@ -429,12 +421,13 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
         (channels.simulate_bsc(np.zeros(nbits, dtype=np.uint8), BSC_P, streams[1]) == 1).sum()
     )
     z = abs(flips - nbits * BSC_P) / math.sqrt(nbits * BSC_P * (1 - BSC_P))
-    z_cut = -NormalDist().inv_cdf(SIGNIFICANCE / 2)
+    # a two-sided normal test is a chi-square test of z^2 with one degree of freedom
+    pvalue = _chi2_tail(z * z, 1)
     checks.append(
         _check(
             "bsc_flip_rate",
-            z <= z_cut,
-            f"|z| = {z:.3f} over {nbits} bits (cut {z_cut:.3f})",
+            pvalue >= SIGNIFICANCE,
+            f"|z| = {z:.3f}, p = {pvalue:.4g} over {nbits} bits",
         )
     )
 
@@ -467,14 +460,12 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     noise = noisy + 1.0
     z_mean = abs(noise.mean()) / (NOISE_SIGMA / math.sqrt(nsamp))
     var_stat = noise.var() * nsamp / NOISE_SIGMA**2
-    var_lo = _chi2_quantile(SIGNIFICANCE / 2, nsamp - 1, upper=False)
-    var_hi = _chi2_quantile(SIGNIFICANCE / 2, nsamp - 1)
-    noise_ok = z_mean <= z_cut and var_lo <= var_stat <= var_hi
+    pvalue = min(_chi2_tail(z_mean * z_mean, 1), _chi2_two_sided(var_stat, nsamp - 1))
     checks.append(
         _check(
             "awgn_noise_moments",
-            noise_ok,
-            f"|z_mean| = {z_mean:.3f}, scaled var stat {var_stat:.1f} in [{var_lo:.1f}, {var_hi:.1f}]",
+            pvalue >= SIGNIFICANCE,
+            f"|z_mean| = {z_mean:.3f}, scaled var stat {var_stat:.1f}, p = {pvalue:.4g}",
         )
     )
 

@@ -16,7 +16,7 @@ from synchan.channels import (
     simulate_gallager_insertion,
 )
 from synchan.oracle import exact_insertion_conditional_law
-from synchan.verification import _chi2_quantile, _chi2_tail, _ks_pvalue, run_simulator_checks
+from synchan.verification import _chi2_tail, _chi2_two_sided, _ks_pvalue, run_simulator_checks
 
 SIGNIFICANCE = 1e-3
 
@@ -419,12 +419,18 @@ class TestStatisticalTestsAgainstScipy:
                 assert _chi2_tail(x, k) == pytest.approx(stats.chi2.sf(x, k), rel=1e-12, abs=0)
                 assert _chi2_tail(x, k, upper=False) == pytest.approx(stats.chi2.cdf(x, k), rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("k", _CHI2_DOF)
-    def test_chi_square_quantiles(self, k):
-        probabilities = [5e-4, 0.01, 0.3, 0.5] + ([1e-10, 1e-6] if k < 10**5 else [1e-4])
-        for q in probabilities:
-            assert _chi2_quantile(q, k) == pytest.approx(stats.chi2.isf(q, k), rel=1e-10)
-            assert _chi2_quantile(q, k, upper=False) == pytest.approx(stats.chi2.ppf(q, k), rel=1e-10)
+    @pytest.mark.parametrize("k", [1, 999, 49_999, 999_999])
+    def test_two_sided_pvalues_decide_as_the_cuts(self, k):
+        # statistics from 1e-2 down to 1e-11 relative on either side of each cut
+        offsets = np.concatenate([-np.logspace(-2, -11, 10), np.logspace(-11, -2, 10)])
+        lo, hi = stats.chi2.ppf(SIGNIFICANCE / 2, k), stats.chi2.isf(SIGNIFICANCE / 2, k)
+        for x in np.concatenate([lo * (1 + offsets), hi * (1 + offsets)]).tolist():
+            assert (_chi2_two_sided(x, k) >= SIGNIFICANCE) == (lo <= x <= hi), x
+        if k == 1:
+            # the normal test of a mean, as a chi-square test of z^2
+            z_cut = stats.norm.isf(SIGNIFICANCE / 2)
+            for z in (z_cut * (1 + offsets)).tolist():
+                assert (_chi2_tail(z * z, 1) >= SIGNIFICANCE) == (z <= z_cut), z
 
     @pytest.mark.parametrize("n", [1000, 9500, 190_000])
     def test_ks_pvalue_near_exact_law(self, n):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synchan import bounds, cli
+from synchan import bounds, cli, combinatorics
 from synchan.bounds import ChannelParams, evaluate_bound, gallager_bound
 from synchan.verification import run_simulator_checks
 
@@ -23,18 +23,10 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def corrupted_pattern_weights(monkeypatch):
-    """Constant 5.0 pattern weights, with the pattern-gain memo emptied on both sides.
-
-    Gains memoised by earlier tests would hide the fault, and gains memoised
-    from the fault would reach later tests.
-    """
-    bounds._pattern_gain.cache_clear()
+    """Constant 5.0 pattern weights; no pattern gain is memoised, so no other test sees them."""
     monkeypatch.setattr(
         "synchan.bounds.mean_pattern_log_weights", lambda n, lo, hi: np.full(hi - lo + 1, 5.0)
     )
-    yield
-    monkeypatch.undo()
-    bounds._pattern_gain.cache_clear()
 
 
 class TestBoundCommand:
@@ -234,27 +226,29 @@ class TestSweepCommand:
         assert "3.6" in err
         assert out == ""
 
-    def test_pattern_weights_requested_once_per_block_length_and_pd(self, capsys, monkeypatch):
-        requested = []
-        weights = bounds.mean_pattern_log_weights
+    def test_pattern_weights_computed_once_per_block_length_and_j(self, capsys, monkeypatch):
+        # both methods request W_j(n) at every (n, p_d); the weight tables compute each once
+        computed = []
+        weights = combinatorics._pattern_log_weights
 
-        def counting(n, lo, hi):
-            requested.append(n)
-            return weights(n, lo, hi)
+        def counting(n, js):
+            computed.extend((n, j) for j in js.tolist())
+            return weights(n, js)
 
-        bounds._pattern_gain.cache_clear()
-        monkeypatch.setattr(bounds, "mean_pattern_log_weights", counting)
+        combinatorics._WEIGHT_TABLES.clear()
+        monkeypatch.setattr(combinatorics, "_pattern_log_weights", counting)
         code, out, _ = run_cli(
             capsys, "sweep", "--method", "deletion", "--method", "del-sub",
             "--pd", "0.013,0.17", "--pe", "0,0.001,0.01,0.03,0.1", "--n", "100,1000",
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 1 + 20
-        assert sorted(requested) == [100, 100, 1000, 1000]
+        assert {n for n, _ in computed} == {100, 1000}
+        assert len(computed) == len(set(computed))
 
     def test_deletion_family_rates_equal_cold_direct_calls(self, capsys, monkeypatch):
-        # the sweep reads memoised gains; a fresh interpreter computes each
-        # reference value with the memo and the W_j tables emptied first
+        # the sweep reads W_j from warm tables; a fresh interpreter computes
+        # each reference value with the W_j tables emptied first
         evaluated = []
 
         def recording(methods, *axes):
@@ -282,7 +276,6 @@ class TestSweepCommand:
             }
             rates = []
             for method, p_d, p_e, sigma, n, _ in json.loads(sys.argv[1]):
-                bounds._pattern_gain.cache_clear()
                 combinatorics._WEIGHT_TABLES.clear()
                 rates.append(calls[method](p_d, p_e, sigma, n).rate)
             print(json.dumps(rates))
@@ -365,6 +358,18 @@ class TestVerifyCommand:
         assert list(payload["scopes"]) == ["oracle", "properties"]
         assert list(payload["wall_s"]) == ["properties", "oracle"]  # the order they ran in
         assert all(0.0 < t < math.inf for t in payload["wall_s"].values())
+
+    def test_repeated_scopes_run_and_report_once(self, capsys):
+        args = ["verify", "--scope", "chains", "--scope", "oracle", "--scope", "chains"]
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 1
+        assert out.count("[chains]") == 1 and out.index("[chains]") < out.index("[oracle]")
+        failing = out.count("  FAIL ")
+        assert out.rstrip().endswith(f"\n{failing} failing checks")
+        code, out, _ = run_cli(capsys, *args, "--json")
+        payload = json.loads(out)
+        assert list(payload["scopes"]) == ["chains", "oracle"]
+        assert len(payload["failures"]) == len(set(payload["failures"])) == failing
 
     def test_injected_defect_is_caught(self, capsys, corrupted_pattern_weights):
         # mutate the pattern weights used by the deletion bound; the chain

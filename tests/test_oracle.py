@@ -302,7 +302,7 @@ class TestDeletionKernel:
     @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
     def test_sums_match_a_per_input_loop(self, p_e):
         for n in range(1, 9):
-            got, expected = oracle._deletion_sums(n, (p_e,))[0], per_input_deletion_sums(n, p_e)
+            got, expected = oracle._deletion_sums(n, (p_e,))[0][0], per_input_deletion_sums(n, p_e)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-11)
 
     @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.5, 1.0])
@@ -318,7 +318,7 @@ class TestDeletionKernel:
                 mass.extend(law.sum(axis=1).tolist())
                 aggregate += counts.sum(axis=0)
             total = oracle._bsc(aggregate[None, :], p_e)[0]
-            column = oracle._deletion_sums(n, (p_e,))[0, :, n]
+            column = oracle._deletion_sums(n, (p_e,))[0][0, :, n]
             dense = [math.fsum(slog), math.fsum(mass), math.fsum(total)]
             np.testing.assert_allclose(column[[0, 1, 3]], dense, rtol=1e-12, atol=0)
             assert column[2] == pytest.approx(oracle._slog(total), rel=0, abs=1e-10)
@@ -326,13 +326,13 @@ class TestDeletionKernel:
     @pytest.mark.parametrize("grid", [(0.0, 0.05), (0.05, 0.0, 0.3)])
     def test_grid_rows_equal_single_p_e_sums(self, grid):
         for n in (1, 2, 5, 9, 12):
-            sums = oracle._deletion_sums(n, grid)
+            sums, _ = oracle._deletion_sums(n, grid)
             assert sums.shape == (len(grid), 4, n + 1)
             for row, p_e in zip(sums, grid):
-                assert row.tobytes() == oracle._deletion_sums(n, (p_e,))[0].tobytes()
+                assert row.tobytes() == oracle._deletion_sums(n, (p_e,))[0][0].tobytes()
 
     def test_one_survivor_pass_per_block_length(self, monkeypatch):
-        # one pass per m < n serves every p_e: 12 calls at n = 12, not 12 per p_e
+        # one pass per m <= n serves every p_e and the aggregates: 13 calls at n = 12, not 12 per p_e
         calls = []
         survivor_counts = oracle._survivor_counts
 
@@ -342,8 +342,10 @@ class TestDeletionKernel:
 
         monkeypatch.setattr(oracle, "_survivor_counts", counted)
         oracle._deletion_sums.cache_clear()
-        oracle._deletion_sums(12, (0.0, 0.05))
-        assert sorted(calls) == list(range(12))
+        _, aggregates = oracle._deletion_sums(12, (0.0, 0.05))
+        assert sorted(calls) == list(range(13))
+        for aggregate, expected in zip(aggregates, deletion_output_multiplicities(12), strict=True):
+            assert np.array_equal(aggregate, expected)
 
     def test_grid_reports_equal_single_reports(self):
         p_ds, p_es = (0.0, 0.1, 0.3), (0.05, 0.0)
@@ -381,10 +383,10 @@ class TestCachedArraysAreReadOnly:
         assert all(np.array_equal(a, b) for a, b in zip(insertion_output_multiplicities(5), before))
 
     def test_deletion_sums(self):
-        before = oracle._deletion_sums(5, (0.05,)).copy()
+        before = oracle._deletion_sums(5, (0.05,))[0].copy()
         with pytest.raises(ValueError):
-            oracle._deletion_sums(5, (0.05,))[0, 0, 0] = 999.0
-        assert np.array_equal(oracle._deletion_sums(5, (0.05,)), before)
+            oracle._deletion_sums(5, (0.05,))[0][0, 0, 0] = 999.0
+        assert np.array_equal(oracle._deletion_sums(5, (0.05,))[0], before)
 
 
 def orbit_codes(code, n):
@@ -514,6 +516,12 @@ class TestInsertionKernel:
     def test_conditional_law_rejects_non_bits(self, bits):
         with pytest.raises(ValueError, match="bits"):
             exact_insertion_conditional_law(bits, 0.1)
+
+    @pytest.mark.parametrize("p_i", [1.5, -0.2, math.nan])
+    def test_conditional_law_rejects_invalid_probabilities(self, p_i):
+        # at 1.5 the law of (0, 1) would sum to 1 with a -0.375 entry
+        with pytest.raises(ValueError, match="p_i"):
+            exact_insertion_conditional_law((0, 1), p_i)
 
 
 class TestInsertionEntropies:
