@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import product
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .combinatorics import mean_pattern_log_weights, single_insertion_log_weight
+from .combinatorics import _single_insertion_weights, mean_pattern_log_weights
 from .numerics import (
     awgn_expectation,
     binary_entropy,
@@ -177,22 +177,22 @@ def deletion_bound(n: int, p_d: float) -> BoundResult:
     return evaluate_bound("deletion", ChannelParams.deletion(p_d), n)
 
 
-def _small_p_components(p: float, coefficients: tuple[float, ...]) -> dict[str, float]:
-    """A quartic small-p relaxation: 1 - h(p) plus the polynomial with these coefficients."""
-    c1, c2, c3, c4 = coefficients
-    return {
-        "base": 1.0,
-        "block_entropy_penalty": -binary_entropy(p),
-        "linear": c1 * p,
-        "quadratic": c2 * p * p,
-        "cubic": c3 * p**3,
-        "quartic": c4 * p**4,
-    }
+def _small_p_components(coefficients: Callable, axis: str, axes: dict) -> dict[str, np.ndarray]:
+    """A quartic small-p relaxation: 1 - h(p) plus a polynomial in p with coefficients in n."""
+    c1, c2, c3, c4 = _on_grid(lambda n: dict(enumerate(coefficients(n))), axes, ["n"]).values()
+
+    def per_p(**point) -> dict[int, float]:
+        p = point[axis]
+        return dict(enumerate([p, binary_entropy(p), p**3, p**4]))
+
+    p, h, p3, p4 = _on_grid(per_p, axes, [axis]).values()
+    names = ("base", "block_entropy_penalty", "linear", "quadratic", "cubic", "quartic")
+    return dict(zip(names, (np.ones_like(p), -h, c1 * p, c2 * p * p, c3 * p3, c4 * p4)))
 
 
 def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p deletion polynomial."""
-    _check_block_length("deletion_small_p", n)
+    n = _check_block_length("deletion_small_p", n)
     w1, w2 = mean_pattern_log_weights(n, 1, 2).tolist()
     return (
         w1 - 1.0,
@@ -212,25 +212,39 @@ def deletion_awgn_bound(n: int, p_d: float, sigma: float) -> BoundResult:
     return evaluate_bound("deletion_awgn", ChannelParams.deletion_awgn(p_d, sigma), n)
 
 
-def _insertion_components(p_i: float, n: int, weight: float | None = None) -> dict[str, float]:
-    """The insertion bound's components; ``weight`` defaults to the printed one."""
-    if weight is None:
-        weight = single_insertion_log_weight(n)
-    # (1-p)^k as exp(k log1p(-p)): where p is below an ulp of 1, 1 - p rounds
-    # to 1.0 and would drop the -n*p that cancels the single-insertion +n*q
-    log_keep = math.log1p(-p_i) if p_i < 1.0 else -math.inf
-    base = math.exp(n * log_keep)
-    q = p_i * math.exp((n - 1) * log_keep)
+def _insertion_components(axes: dict, weights: Sequence[float] | None = None) -> dict:
+    """The insertion bound's components, each once per value of the axes it reads.
+
+    ``weights``, by default the printed ones, are the single-insertion weights at each n.
+    Each float operation is the one the formula makes at that point alone.
+    """
+    p_is, ns = [float(p) for p in axes["p_i"]], [int(n) for n in axes["n"]]
+    weights = _single_insertion_weights(ns)[0] if weights is None else weights
+    # (1-p)^k and p^k once per p_i and exponent k, each an n or an n - 1 (at n - 1
+    # in ks is at[n] - 1); (1-p)^k as exp(k log1p(-p)): where p is below an ulp
+    # of 1, 1 - p rounds to 1.0 and would drop the -n*p that cancels the +n*q
+    ks = sorted({*ns, *(n - 1 for n in ns)})
+    at = np.array([*map({k: i for i, k in enumerate(ks)}.get, ns)])
+    log_keep = [math.log1p(-p) if p < 1.0 else -math.inf for p in p_is]
+    keep_k = np.array([[math.exp(k * lk) for k in ks] for lk in log_keep])
+    p_k = np.array([[p**k for k in ks] for p in p_is])
+    p, n = np.array(p_is)[:, None], np.array(ns, float)
+    q = p * keep_k[:, at - 1]
     # the mass of 2 to n-2 insertions, by cancellation: its error of an ulp
     # of 1 can take it below 0 where it is tiny
-    multi_mass = max(0.0, -math.fsum([-1.0, base, n * q, p_i**n, n * p_i ** (n - 1) * (1.0 - p_i)]))
-    return {
-        "base": base,
-        "block_entropy_penalty": -binary_entropy(p_i),
-        "single_insertion_gain": (weight - (3 * n + 1) / (4 * n) + n) * q,
-        "multi_insertion_gain": multi_mass * math.log2(n * (n - 1) / 2) / n,
-        "tail_gain": p_i ** (n - 1) * (1.0 - p_i) * math.log2(n),
+    ends = [np.full(q.shape, -1.0), keep_k[:, at], n * q, p_k[:, at], n * p_k[:, at - 1] * (1.0 - p)]
+    sums = np.reshape([math.fsum(e) for e in np.stack(ends, axis=-1).reshape(-1, 5).tolist()], q.shape)
+    per_n = [((3 * m + 1) / (4 * m), math.log2(m * (m - 1) / 2), math.log2(m)) for m in ns]
+    fraction, log_pairs, log_n = np.array(per_n).T
+    components = {
+        "base": keep_k[:, at],
+        "block_entropy_penalty": -np.array([binary_entropy(v) for v in p_is])[:, None],
+        "single_insertion_gain": (np.asarray(weights) - fraction + n) * q,
+        "multi_insertion_gain": np.where(sums < 0.0, -sums, 0.0) * log_pairs / n,
+        "tail_gain": p_k[:, at - 1] * (1.0 - p) * log_n,
     }
+    spread = tuple(slice(None) if name in ("p_i", "n") else None for name in axes)
+    return {key: value[spread] for key, value in components.items()}
 
 
 def insertion_bound_from_weight(n: int, p_i: float, weight: float) -> BoundResult:
@@ -238,11 +252,15 @@ def insertion_bound_from_weight(n: int, p_i: float, weight: float) -> BoundResul
 
     The verification suite uses this to compare the tabulated weight against
     the enumerated one; :func:`random_insertion_bound` fixes the weight to
-    :func:`synchan.combinatorics.single_insertion_log_weight`.
+    :func:`synchan.combinatorics.single_insertion_log_weight`.  A weight is
+    a mean log2 count, so one that is not finite and nonnegative is an error.
     """
     ChannelParams.insertion(p_i)
-    _check_block_length("random_insertion", n)
-    return BoundResult.from_components("random_insertion", n, _insertion_components(p_i, n, weight))
+    n = _check_block_length("random_insertion", n)
+    if not 0.0 <= weight < math.inf:
+        raise ValueError(f"weight must be finite and nonnegative, got {weight!r}")
+    components = _insertion_components(dict(p_i=[p_i], n=[n]), [weight])
+    return BoundResult.from_components("random_insertion", n, {k: v.item() for k, v in components.items()})
 
 
 def random_insertion_bound(n: int, p_i: float) -> BoundResult:
@@ -260,8 +278,8 @@ def random_insertion_bound(n: int, p_i: float) -> BoundResult:
 
 def insertion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p insertion polynomial."""
-    _check_block_length("random_insertion_small_p", n)
-    s = single_insertion_log_weight(n)
+    n = _check_block_length("random_insertion_small_p", n)
+    s = _single_insertion_weights([n])[0].item()
     b = math.log2(n * (n - 1) / 2)
     c = (3 * n + 1) / (4 * n)
     return (
@@ -278,53 +296,44 @@ def random_insertion_bound_small_p(n: int, p_i: float) -> BoundResult:
 
 
 class _Bound(NamedTuple):
-    reads: tuple[str, ...]
     n_min: int | None
     components: Callable
 
 
-# each bound: the axes it reads, its smallest block length (None: it takes
-# none) and its components at one point of those axes; the deletion family's
-# take the whole grid, to compute each once per value of the axes it reads
+# each bound: its smallest block length (None: it takes none) and its components on a
+# grid of axes, each computed once per value of the axes it reads and shaped to broadcast
 _BOUNDS = {
-    "gallager": _Bound(("p_d", "p_e", "p_i"), None, _gallager_components),
-    "deletion": _Bound(("p_d", "n"), 1, _deletion_components),
-    "deletion_substitution": _Bound(("p_d", "p_e", "n"), 1, _deletion_components),
-    "deletion_awgn": _Bound(("p_d", "sigma", "n"), 1, _deletion_components),
-    "random_insertion": _Bound(("p_i", "n"), 2, _insertion_components),
-    "deletion_small_p": _Bound(
-        ("p_d", "n"), 4, lambda p_d, n: _small_p_components(p_d, deletion_small_p_coefficients(n))
-    ),
+    "gallager": _Bound(None, partial(_on_grid, _gallager_components, names=("p_d", "p_e", "p_i"))),
+    "deletion": _Bound(1, partial(_deletion_components, "deletion")),
+    "deletion_substitution": _Bound(1, partial(_deletion_components, "deletion_substitution")),
+    "deletion_awgn": _Bound(1, partial(_deletion_components, "deletion_awgn")),
+    "random_insertion": _Bound(2, _insertion_components),
+    "deletion_small_p": _Bound(4, partial(_small_p_components, deletion_small_p_coefficients, "p_d")),
     "random_insertion_small_p": _Bound(
-        ("p_i", "n"), 4, lambda p_i, n: _small_p_components(p_i, insertion_small_p_coefficients(n))
+        4, partial(_small_p_components, insertion_small_p_coefficients, "p_i")
     ),
 }
 
 
-def _check_block_length(method: str, n: int | None) -> None:
+def _check_block_length(method: str, n) -> int | None:
+    """``n`` as an int where the method takes a block length; a ValueError if it is not one."""
     n_min = _BOUNDS[method].n_min
-    if n_min is not None and n is None:
-        raise ValueError(f"method {method!r} requires a block length")
-    if n_min is not None and n < n_min:
+    if n_min is None:
+        return None
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"method {method!r} requires an integer block length, got {n!r}")
+    if n < n_min:
         raise ValueError(f"block length must be >= {n_min}, got {n}")
-
-
-def _components(method: str, axes: dict) -> dict[str, np.ndarray]:
-    """A bound's components on the grid ``axes``, each shaped to broadcast over it."""
-    reads, _, components = _BOUNDS[method]
-    if method in _DELETION_PENALTIES:
-        return components(method, axes)
-    return _on_grid(components, axes, reads)
+    return int(n)
 
 
 def evaluate_bound(method: str, params: ChannelParams, n: int | None = None) -> BoundResult:
     """Evaluate any bound by its method tag; ``n`` is ignored for gallager."""
     if method not in _BOUNDS:
         raise ValueError(f"unknown method {method!r}")
-    _check_block_length(method, n)
-    n = None if _BOUNDS[method].n_min is None else n
+    n = _check_block_length(method, n)
     axes = dict(p_d=[params.p_d], p_e=[params.p_e], p_i=[params.p_i], sigma=[params.sigma], n=[n])
-    components = _components(method, axes)
+    components = _BOUNDS[method].components(axes)
     return BoundResult.from_components(method, n, {k: v.item() for k, v in components.items()})
 
 
@@ -362,7 +371,7 @@ def _grid_rates(methods: list[str], p_d, p_e, p_i, sigma, n) -> list[np.ndarray]
     grids = []
     for method in methods:
         # each point's math.fsum of its components, as in BoundResult.from_components
-        points = np.broadcast(*_components(method, axes).values())
+        points = np.broadcast(*_BOUNDS[method].components(axes).values())
         rates = np.fromiter(map(math.fsum, points), float, points.size).reshape(points.shape)
         grids.append(np.broadcast_to(rates, shape))
     return grids

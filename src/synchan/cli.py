@@ -35,8 +35,9 @@ _METHODS = {
 }
 
 _SCOPES = ("properties", "oracle", "chains", "simulators")
-# the layout of ``verify --json``: bump when a key changes meaning or goes away
+# the JSON layouts of ``verify`` and of ``bound``/``optimize``: bump when a key changes or goes away
 _VERIFY_SCHEMA_VERSION = 1
+_RESULT_SCHEMA_VERSION = 1
 
 
 def _noise_flag(args) -> str | None:
@@ -83,17 +84,9 @@ def _params_from_args(args) -> ChannelParams:
 
 def _print_result(result, as_json: bool) -> None:
     if as_json:
-        print(
-            json.dumps(
-                {
-                    "method": result.method,
-                    "block_length": result.block_length,
-                    "rate": result.rate,
-                    "components": result.components,
-                },
-                indent=2,
-            )
-        )
+        keys = ("method", "block_length", "rate", "components")
+        payload = {"schema_version": _RESULT_SCHEMA_VERSION} | {k: getattr(result, k) for k in keys}
+        print(json.dumps(payload, indent=2))
         return
     print(f"method        {result.method}")
     if result.block_length is not None:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -178,23 +179,38 @@ def mean_pattern_log_weight(n: int, j: int) -> float:
     return float(mean_pattern_log_weights(n, j, j)[0])
 
 
-def _single_insertion_sum(n: int, interior_coeff) -> float:
-    terms = []
-    for l in range(1, n):
-        w = 2.0**-l
-        if w * (n + 3) * (l + 2) * math.log2(l + 2) < _RUN_WEIGHT_FLOOR:
-            break
-        terms.append(
-            w
-            * (
-                interior_coeff(l) * (l + 2) * math.log2(l + 2)
-                + 2 * (l + 1) * math.log2(l + 1)
-            )
-        )
-    return math.fsum(terms) / (4 * n) + math.ldexp(math.log2(n), -(n + 1))
+def _single_insertion_weights(ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The printed and the exact single-insertion weights at each block length of ``ns``.
+
+    Each is fsum(t_l) / (4n) + 2^(-n-1) log2(n), t_l = 2^-l (c (l+2) log2(l+2)
+    + 2 (l+1) log2(l+1)), with c = n + 1 - l printed and (n - l - 1) / 2
+    exact, over l = 1..n-1 while 2^-l (n+3) (l+2) log2(l+2) is at least
+    ``_RUN_WEIGHT_FLOOR``.  Each float operation is that sum's at n alone.
+    """
+    ns = [operator.index(n) for n in ns]
+    if min(ns) < 1:
+        raise ValueError(f"n must be >= 1, got {min(ns)}")
+    # 2^-l (n+3) < 2^-128 from l = bit_length(n+3) + 128 on, so every cut-off lies below it
+    lengths = np.arange(1, min(max(ns), (max(ns) + 3).bit_length() + 128))
+    logs = np.array([math.log2(k) for k in range(2, lengths.size + 3)])
+    w = np.ldexp(1.0, -lengths)
+    bound = w * np.array([float(n + 3) for n in ns])[:, None] * (lengths + 2) * logs[1:]
+    # the bound falls as l grows, so each row keeps a prefix of the lengths
+    keep = (bound >= _RUN_WEIGHT_FLOOR) & (lengths < np.reshape(ns, (-1, 1)))
+    # n + 1 = hi + lo with lo its low 32 bits: hi (l+2) and (lo - l)(l+2) are
+    # exact floats for n < 2^77, so their sum is (n + 1 - l)(l + 2) rounded once
+    lo, hi = np.array([((n + 1) & 0xFFFFFFFF, float((n + 1) >> 32 << 32)) for n in ns]).T[..., None]
+    printed = hi * (lengths + 2) + (lo - lengths) * (lengths + 2)
+    exact = (hi + (lo - lengths - 2)) / 2.0 * (lengths + 2)
+    counts, tails = keep.sum(axis=1).tolist(), [math.ldexp(math.log2(n), -(n + 1)) for n in ns]
+
+    def weights(c: np.ndarray) -> np.ndarray:
+        terms = iter((w * (c * logs[1:] + 2 * (lengths + 1) * logs[:-1]))[keep].tolist())
+        return np.array([math.fsum(islice(terms, k)) / (4 * n) + t for k, n, t in zip(counts, ns, tails)])
+
+    return weights(printed), weights(exact)
 
 
-@lru_cache(maxsize=None)
 def single_insertion_log_weight(n: int) -> float:
     """Run-weighted log2 count of single-insertion outputs, tabulated form.
 
@@ -204,12 +220,9 @@ def single_insertion_log_weight(n: int) -> float:
     :func:`single_insertion_log_weight_exact`; the two agree only at n = 1
     (at n = 2 they are 0.969361 and 0.375000).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _single_insertion_sum(n, lambda l: n + 1 - l)
+    return float(_single_insertion_weights([n])[0][0])
 
 
-@lru_cache(maxsize=None)
 def single_insertion_log_weight_exact(n: int) -> float:
     """Per-sequence average log2 count of single-insertion outputs.
 
@@ -218,6 +231,4 @@ def single_insertion_log_weight_exact(n: int) -> float:
     interior runs, divided by 4n, with the single-run boundary case folded
     in.  Verified against exhaustive enumeration in the test suite.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return _single_insertion_sum(n, lambda l: (n - l - 1) / 2.0)
+    return float(_single_insertion_weights([n])[1][0])

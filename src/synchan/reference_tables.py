@@ -15,10 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import (
+    _DEFAULT_N_MIN,
     ChannelParams,
+    _grid_rates,
     deletion_substitution_bound,
     gallager_bound,
-    optimize_block_length,
+    random_insertion_bound,
 )
 
 __all__ = [
@@ -142,20 +144,23 @@ def table1_diffs() -> list[CellDiff]:
 
 
 def table2_diffs() -> list[CellDiff]:
-    """Regenerate every cell of the random-insertion table, optima included."""
+    """Regenerate every cell of the random-insertion table, optima included, from one scan grid."""
+    p_is = [row[0] for row in TABLE2_LEFT + TABLE2_RIGHT]
+    lengths = range(_DEFAULT_N_MIN["random_insertion"], OPTIMIZE_N_MAX + 1)
+    rates = _grid_rates(["random_insertion"], [0.0], [0.0], p_is, [0.0], lengths)[0]
+    # each row's first argmax, as in optimize_block_length
+    best = [lengths[i] for i in rates.reshape(len(p_is), len(lengths)).argmax(axis=1)]
+    optima = {p_i: (n, random_insertion_bound(n, p_i).rate) for p_i, n in zip(p_is, best)}
     diffs = []
-    for p_i, ref_g, ref_loss, ref_n in TABLE2_LEFT:
-        row = (p_i, 0.0)
-        g = gallager_bound(ChannelParams.insertion(p_i)).rate
-        diffs.append(_diff("table2_left", row, "loss_gallager", ref_g, 1.0 - g, "rel"))
-        n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(p_i), OPTIMIZE_N_MAX)
-        diffs.append(_diff("table2_left", row, "loss_bound", ref_loss, 1.0 - best.rate, "rel"))
-        diffs.append(_diff("table2_left", row, "optimal_n", ref_n, n_star, "exact"))
-    for p_i, ref_g, ref_rate, ref_n in TABLE2_RIGHT:
-        row = (p_i, 0.0)
-        g = gallager_bound(ChannelParams.insertion(p_i)).rate
-        diffs.append(_diff("table2_right", row, "gallager", ref_g, g, "abs"))
-        n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(p_i), OPTIMIZE_N_MAX)
-        diffs.append(_diff("table2_right", row, "bound", ref_rate, best.rate, "abs"))
-        diffs.append(_diff("table2_right", row, "optimal_n", ref_n, n_star, "exact"))
+    for table, rows in (("table2_left", TABLE2_LEFT), ("table2_right", TABLE2_RIGHT)):
+        for p_i, ref_g, ref_rate, ref_n in rows:
+            row, (n_star, rate) = (p_i, 0.0), optima[p_i]
+            g = gallager_bound(ChannelParams.insertion(p_i)).rate
+            if table == "table2_left":  # losses, relative
+                diffs.append(_diff(table, row, "loss_gallager", ref_g, 1.0 - g, "rel"))
+                diffs.append(_diff(table, row, "loss_bound", ref_rate, 1.0 - rate, "rel"))
+            else:
+                diffs.append(_diff(table, row, "gallager", ref_g, g, "abs"))
+                diffs.append(_diff(table, row, "bound", ref_rate, rate, "abs"))
+            diffs.append(_diff(table, row, "optimal_n", ref_n, n_star, "exact"))
     return diffs

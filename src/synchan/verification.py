@@ -180,61 +180,42 @@ def run_oracle_checks(
     insertion_n: Iterable[int] = INSERTION_GRID_N,
 ) -> list[Check]:
     """Output-entropy identities and per-length uniformity on the default grids."""
-    checks = []
-
-    worst = 0.0
+    deletion_worst, deletion_uniform = 0.0, True
     for n in deletion_n:
         for report in oracle._deletion_reports(n, DELETION_GRID_P, SUBSTITUTION_GRID_P).values():
-            worst = max(worst, abs(report.bound_chain[0].margin))
-    checks.append(
-        _check(
-            "deletion_output_entropy_identity",
-            worst < 1e-9,
-            f"max |H(Y') - n(1-p) - H(T)| = {worst:.2e}",
-        )
-    )
-
-    worst = 0.0
+            deletion_worst = max(deletion_worst, abs(report.bound_chain[0].margin))
+        # the aggregates of the survivor pass behind those reports, not a second pass
+        for m, agg in enumerate(oracle._deletion_sums(n, SUBSTITUTION_GRID_P)[1]):
+            deletion_uniform &= bool(np.all(agg == (1 << (n - m)) * comb(n, n - m)))
+    insertion_worst, insertion_uniform = 0.0, True
     for n in insertion_n:
         for p_i in INSERTION_GRID_P:
             report = oracle.exact_insertion_entropies(n, p_i)
-            worst = max(worst, abs(report.bound_chain[0].margin))
-    checks.append(
+            insertion_worst = max(insertion_worst, abs(report.bound_chain[0].margin))
+        for j, agg in enumerate(oracle.insertion_output_multiplicities(n)):
+            insertion_uniform &= bool(np.all(agg == (1 << j) * comb(n, j)))
+    return [
+        _check(
+            "deletion_output_entropy_identity",
+            deletion_worst < 1e-9,
+            f"max |H(Y') - n(1-p) - H(T)| = {deletion_worst:.2e}",
+        ),
         _check(
             "insertion_output_entropy_identity",
-            worst < 1e-9,
-            f"max |H(Y) - n(1+p) - H(T)| = {worst:.2e}",
-        )
-    )
-
-    uniform = True
-    for n in deletion_n:
-        if n > 10:
-            continue
-        for m, agg in enumerate(oracle.deletion_output_multiplicities(n)):
-            expected = (1 << (n - m)) * comb(n, n - m)
-            uniform = uniform and bool(np.all(agg == expected))
-    checks.append(
+            insertion_worst < 1e-9,
+            f"max |H(Y) - n(1+p) - H(T)| = {insertion_worst:.2e}",
+        ),
         _check(
             "deletion_per_length_uniformity",
-            uniform,
+            deletion_uniform,
             "aggregate multiplicities equal 2^j C(n,j) exactly",
-        )
-    )
-
-    uniform = True
-    for n in insertion_n:
-        for j, agg in enumerate(oracle.insertion_output_multiplicities(n)):
-            expected = (1 << j) * comb(n, j)
-            uniform = uniform and bool(np.all(agg == expected))
-    checks.append(
+        ),
         _check(
             "insertion_per_length_uniformity",
-            uniform,
+            insertion_uniform,
             "aggregate event counts equal 2^j C(n,j) exactly",
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def run_chain_checks(

@@ -16,6 +16,8 @@ from pathlib import Path
 import mpmath
 
 import synchan
+from synchan.combinatorics import _RUN_WEIGHT_FLOOR
+from synchan.numerics import binary_entropy
 from synchan.oracle import OracleResourceError
 
 
@@ -68,6 +70,45 @@ def brute_single_insertion_log_weight(n):
         for nk in r[1:-1]:
             total += (nk + 2) * math.log2(nk + 2)
     return total / (2 ** (n + 2) * n) + math.log2(n) / 2 ** (n + 1)
+
+
+def scalar_single_insertion_sum(n, interior_coeff):
+    """The single-insertion weight as a loop over run lengths l, with ``interior_coeff(l)``.
+
+    The scalar form the array kernel replaced, kept as its bit-for-bit reference:
+    ``lambda l: n + 1 - l`` gives the printed weight, ``lambda l: (n - l - 1) / 2.0``
+    the exact one.
+    """
+    terms = []
+    for l in range(1, n):
+        w = 2.0**-l
+        if w * (n + 3) * (l + 2) * math.log2(l + 2) < _RUN_WEIGHT_FLOOR:
+            break
+        terms.append(
+            w
+            * (
+                interior_coeff(l) * (l + 2) * math.log2(l + 2)
+                + 2 * (l + 1) * math.log2(l + 1)
+            )
+        )
+    return math.fsum(terms) / (4 * n) + math.ldexp(math.log2(n), -(n + 1))
+
+
+def scalar_insertion_rate(n, p_i, weight):
+    """The insertion bound at one point, as the scalar formula the grid path replaced."""
+    log_keep = math.log1p(-p_i) if p_i < 1.0 else -math.inf
+    base = math.exp(n * log_keep)
+    q = p_i * math.exp((n - 1) * log_keep)
+    multi_mass = max(0.0, -math.fsum([-1.0, base, n * q, p_i**n, n * p_i ** (n - 1) * (1.0 - p_i)]))
+    return math.fsum(
+        [
+            base,
+            -binary_entropy(p_i),
+            (weight - (3 * n + 1) / (4 * n) + n) * q,
+            multi_mass * math.log2(n * (n - 1) / 2) / n,
+            p_i ** (n - 1) * (1.0 - p_i) * math.log2(n),
+        ]
+    )
 
 
 def brute_subsequence_counts(bits):

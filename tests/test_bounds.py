@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from synchan import bounds
 from synchan.bounds import (
     ChannelParams,
     capacity_expansion_constant,
@@ -15,14 +16,16 @@ from synchan.bounds import (
     deletion_substitution_bound,
     evaluate_bound,
     gallager_bound,
+    insertion_bound_from_weight,
     insertion_small_p_coefficients,
     optimize_block_length,
     random_insertion_bound,
     random_insertion_bound_small_p,
 )
 from synchan.numerics import awgn_expectation, binary_entropy
+from synchan.reference_tables import OPTIMIZE_N_MAX, table2_diffs
 
-from helpers import brute_mean_pattern_log_weight
+from helpers import brute_mean_pattern_log_weight, scalar_insertion_rate, scalar_single_insertion_sum
 
 
 class TestChannelParams:
@@ -201,6 +204,23 @@ class TestRandomInsertionBound:
         with pytest.raises(ValueError):
             random_insertion_bound(1, 0.1)
 
+    def test_grid_equals_one_point_and_scalar_evaluations(self):
+        p_is = [0.0, 5e-324, 1e-300, 6.3e-19, 1e-6, 0.1, 0.5, 1.0 - 1e-12, 1.0]
+        ns = [2, 3, 4, 9, 100, 512, 1023, 4096, 10**6]
+        grid = bounds._grid_rates(["random_insertion"], [0.0], [0.0], p_is, [0.0], ns)[0]
+        for i, p_i in enumerate(p_is):
+            for j, n in enumerate(ns):
+                weight = scalar_single_insertion_sum(n, lambda l: n + 1 - l)
+                expected = scalar_insertion_rate(n, p_i, weight).hex()
+                assert grid[0, 0, i, 0, j].hex() == expected, (p_i, n)
+                assert random_insertion_bound(n, p_i).rate.hex() == expected
+                assert insertion_bound_from_weight(n, p_i, weight).rate.hex() == expected
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
+            insertion_bound_from_weight(5, 0.1, weight)
+
     @pytest.mark.parametrize("n", [1023, 1024, 4096])
     @pytest.mark.parametrize("bound", [random_insertion_bound, random_insertion_bound_small_p])
     def test_finite_past_n_1022(self, bound, n):
@@ -260,6 +280,14 @@ class TestOptimizeBlockLength:
         n_star, best = optimize_block_length("random_insertion", params, 64)
         for n in range(3, 65):
             assert best.rate >= random_insertion_bound(n, 0.08).rate
+
+    def test_table2_optima_and_rates_are_the_scans(self):
+        for d in table2_diffs():
+            if d.column in ("optimal_n", "bound", "loss_bound"):
+                params = ChannelParams.insertion(d.row[0])
+                n_star, best = optimize_block_length("random_insertion", params, OPTIMIZE_N_MAX)
+                expected = {"optimal_n": n_star, "bound": best.rate, "loss_bound": 1.0 - best.rate}
+                assert repr(d.computed) == repr(expected[d.column]), d
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="'nonsense' is unknown"):
@@ -392,6 +420,39 @@ def test_bounds_are_finite_component_sums_at_most_one(method, n, p, q, sigma):
 def test_evaluate_bound_requires_block_length():
     with pytest.raises(ValueError):
         evaluate_bound("deletion", ChannelParams.deletion(0.1))
+
+
+# every function that takes a block length, called at n
+_TAKES_N = {
+    "deletion_bound": lambda n: deletion_bound(n, 0.1),
+    "deletion_substitution_bound": lambda n: deletion_substitution_bound(n, 0.1, 0.02),
+    "deletion_awgn_bound": lambda n: deletion_awgn_bound(n, 0.1, 0.7),
+    "random_insertion_bound": lambda n: random_insertion_bound(n, 0.1),
+    "deletion_bound_small_p": lambda n: deletion_bound_small_p(n, 0.01),
+    "random_insertion_bound_small_p": lambda n: random_insertion_bound_small_p(n, 0.01),
+    "insertion_bound_from_weight": lambda n: insertion_bound_from_weight(n, 0.1, 1.5),
+    "deletion_small_p_coefficients": deletion_small_p_coefficients,
+    "insertion_small_p_coefficients": insertion_small_p_coefficients,
+} | {
+    f"evaluate_bound({method!r})": lambda n, method=method: evaluate_bound(method, ChannelParams(), n)
+    for method in sorted(bounds._BOUNDS)
+    if bounds._BOUNDS[method].n_min is not None
+}
+
+
+@pytest.mark.parametrize("call", sorted(_TAKES_N))
+@pytest.mark.parametrize("n", [5.5, 5.0, math.nan, math.inf, "5", None])
+def test_a_block_length_that_is_not_an_integer_is_a_value_error(call, n):
+    with pytest.raises(ValueError, match="requires an integer block length"):
+        _TAKES_N[call](n)
+
+
+@pytest.mark.parametrize("call", sorted(_TAKES_N))
+def test_a_numpy_integer_block_length_is_an_int(call):
+    result, expected = _TAKES_N[call](np.int64(5)), _TAKES_N[call](5)
+    assert repr(result) == repr(expected)
+    if hasattr(result, "block_length"):
+        assert type(result.block_length) is int
 
 
 # float.hex of each method"s rate and components at two points, as computed

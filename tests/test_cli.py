@@ -41,6 +41,21 @@ class TestBoundCommand:
         assert payload["block_length"] == 1000
         assert payload["rate"] == pytest.approx(sum(payload["components"].values()), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["bound", "--method", "insertion", "--pi", "0.1", "--n", "5"],
+            ["bound", "--method", "insertion", "--pi", "0.1", "--optimize-n", "64"],
+            ["optimize", "--method", "del-sub", "--pd", "0.1", "--pe", "0.01", "--n-max", "20"],
+        ],
+    )
+    def test_json_layout_has_a_schema_version(self, capsys, args):
+        code, out, _ = run_cli(capsys, *args, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["schema_version", "method", "block_length", "rate", "components"]
+        assert payload["schema_version"] == 1
+
     def test_insertion_with_block_length_scan(self, capsys):
         code, out, _ = run_cli(
             capsys, "bound", "--method", "insertion", "--pi", "0.1",

@@ -26,6 +26,7 @@ from helpers import (
     brute_subsequence_counts,
     run_python,
     runs_of,
+    scalar_single_insertion_sum,
     subsequence_weight,
 )
 
@@ -284,6 +285,26 @@ class TestSingleInsertionLogWeight:
     def test_reference_polynomial_constant(self):
         # the linear coefficient of the n=10 small-p insertion polynomial
         assert single_insertion_log_weight(10) - 31 / 40 == pytest.approx(1.1591, rel=5e-3)
+
+    def test_kernel_is_bit_identical_to_the_scalar_sums(self):
+        ns = [*range(1, 1101), 10**6, 2**40, 10**18]
+        printed, exact = combinatorics._single_insertion_weights(ns)
+        for n, p, e in zip(ns, printed.tolist(), exact.tolist(), strict=True):
+            expected_p = scalar_single_insertion_sum(n, lambda l: n + 1 - l)
+            expected_e = scalar_single_insertion_sum(n, lambda l: (n - l - 1) / 2.0)
+            assert (p.hex(), e.hex()) == (expected_p.hex(), expected_e.hex()), n
+            assert single_insertion_log_weight(n).hex() == expected_p.hex()
+            assert single_insertion_log_weight_exact(n).hex() == expected_e.hex()
+
+    def test_weights_are_not_memoised(self):
+        assert not hasattr(single_insertion_log_weight, "cache_info")
+        assert not hasattr(single_insertion_log_weight_exact, "cache_info")
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_block_length_below_one(self, n):
+        for weight in (single_insertion_log_weight, single_insertion_log_weight_exact):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                weight(n)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_exact_variant_matches_enumeration(self, n):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from synchan import verification
+from synchan import oracle, verification
 
 # (name, passed, detail) of every check, recorded before the enumeration
 # kernels behind these scopes were rewritten; the verdicts must not move
@@ -22,3 +22,33 @@ SCOPES = {
 def test_verdicts_are_unchanged(call):
     got = [[c.name, c.passed, c.detail] for c in SCOPES[call]()]
     assert got == RECORDED[call]
+
+
+def test_oracle_scope_makes_one_survivor_pass_per_block_length(monkeypatch):
+    # the uniformity check reads the aggregates of the entropy-identity pass:
+    # one _survivor_counts call per output length m <= n, where a second,
+    # p_e-free pass would make it 2(n + 1)
+    calls = []
+    survivor_counts = oracle._survivor_counts
+
+    def counted(n, m, inputs):
+        calls.append(m)
+        return survivor_counts(n, m, inputs)
+
+    monkeypatch.setattr(oracle, "_survivor_counts", counted)
+    oracle._deletion_sums.cache_clear()
+    checks = verification.run_oracle_checks([5], [])
+    assert sorted(calls) == list(range(6))
+    assert all(c.passed for c in checks)
+
+
+def test_oracle_scope_checks_uniformity_at_n12(monkeypatch):
+    deletion_sums = oracle._deletion_sums
+
+    def one_output_miscounted(n, p_es):
+        sums, aggregates = deletion_sums(n, p_es)
+        return sums, (*aggregates[:-1], aggregates[-1] + 1)
+
+    monkeypatch.setattr(oracle, "_deletion_sums", one_output_miscounted)
+    checks = {c.name: c.passed for c in verification.run_oracle_checks([12], [])}
+    assert checks["deletion_per_length_uniformity"] is False
