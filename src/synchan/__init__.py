@@ -5,7 +5,6 @@ from .bounds import (
     BoundResult,
     ChannelParams,
     capacity_expansion_constant,
-    capacity_expansion_deletion,
     deletion_awgn_bound,
     deletion_bound,
     deletion_bound_small_p,
@@ -25,9 +24,6 @@ from .channels import (
     simulate_gallager_insertion,
 )
 from .combinatorics import (
-    RunLengthSequence,
-    encode,
-    enumerate_deletion_patterns,
     expected_run_count,
     mean_pattern_log_weight,
     single_insertion_log_weight,

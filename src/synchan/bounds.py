@@ -12,11 +12,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .combinatorics import _single_insertion_weights, mean_pattern_log_weights
-from .numerics import (
-    awgn_expectation,
-    binary_entropy,
-    _binomial_log_pmf_vec,
-)
+from .numerics import _binomial_log_pmf_vec, _check_integer, awgn_expectation, binary_entropy
 
 __all__ = [
     "ChannelParams",
@@ -34,7 +30,6 @@ __all__ = [
     "optimize_block_length",
     "evaluate_bound",
     "capacity_expansion_constant",
-    "capacity_expansion_deletion",
 ]
 
 
@@ -219,7 +214,7 @@ def _insertion_components(axes: dict, weights: Sequence[float] | None = None) ->
     Each float operation is the one the formula makes at that point alone.
     """
     p_is, ns = [float(p) for p in axes["p_i"]], [int(n) for n in axes["n"]]
-    weights = _single_insertion_weights(ns)[0] if weights is None else weights
+    weights = _single_insertion_weights(ns) if weights is None else weights
     # (1-p)^k and p^k once per p_i and exponent k, each an n or an n - 1 (at n - 1
     # in ks is at[n] - 1); (1-p)^k as exp(k log1p(-p)): where p is below an ulp
     # of 1, 1 - p rounds to 1.0 and would drop the -n*p that cancels the +n*q
@@ -279,7 +274,7 @@ def random_insertion_bound(n: int, p_i: float) -> BoundResult:
 def insertion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p insertion polynomial."""
     n = _check_block_length("random_insertion_small_p", n)
-    s = _single_insertion_weights([n])[0].item()
+    s = _single_insertion_weights([n]).item()
     b = math.log2(n * (n - 1) / 2)
     c = (3 * n + 1) / (4 * n)
     return (
@@ -320,11 +315,10 @@ def _check_block_length(method: str, n) -> int | None:
     n_min = _BOUNDS[method].n_min
     if n_min is None:
         return None
-    if not isinstance(n, (int, np.integer)):
-        raise ValueError(f"method {method!r} requires an integer block length, got {n!r}")
+    n = _check_integer(n, f"method {method!r}")
     if n < n_min:
         raise ValueError(f"block length must be >= {n_min}, got {n}")
-    return int(n)
+    return n
 
 
 def evaluate_bound(method: str, params: ChannelParams, n: int | None = None) -> BoundResult:
@@ -395,8 +389,10 @@ def optimize_block_length(
     if method not in scanned:
         reason = "has no block length" if method in _BOUNDS else "is unknown"
         raise ValueError(f"method {method!r} {reason}; choose from {scanned}")
+    n_max = _check_integer(n_max, "optimize_block_length")
     if n_min is None:
         n_min = _DEFAULT_N_MIN.get(method, 2)
+    n_min = _check_integer(n_min, "optimize_block_length")
     if n_max < n_min:
         raise ValueError(f"n_max must be >= {n_min}, got {n_max}")
     lengths = range(n_min, n_max + 1)
@@ -414,14 +410,3 @@ def capacity_expansion_constant(terms: int = 200) -> float:
     """
     series = math.fsum(2.0 ** (-l - 1) * l * math.log2(l) for l in range(2, terms + 1))
     return math.log2(2.0 * math.e) - series
-
-
-def capacity_expansion_deletion(p_d: float) -> float:
-    """Dominant terms 1 + p log2(p) - A1*p of the small-p deletion capacity.
-
-    Diagnostic comparison curve only: the omitted remainder is O(p^1.4), so
-    this is not a lower bound.
-    """
-    if not 0.0 < p_d < 1.0:
-        raise ValueError(f"p_d must lie in (0, 1), got {p_d!r}")
-    return 1.0 + p_d * math.log2(p_d) - capacity_expansion_constant() * p_d

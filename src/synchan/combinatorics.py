@@ -1,69 +1,22 @@
-"""Run-length representations, deletion patterns, and run-combinatoric weight sums."""
+"""Deletion patterns and the run-combinatoric weight sums the bounds are built on."""
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .numerics import _log2_binomial, _log_factorials
+from .numerics import _check_integer, _log2_binomial, _log_factorials
 
 __all__ = [
-    "RunLengthSequence",
-    "encode",
-    "enumerate_deletion_patterns",
     "expected_run_count",
     "mean_pattern_log_weight",
     "mean_pattern_log_weights",
     "single_insertion_log_weight",
     "single_insertion_log_weight_exact",
 ]
-
-
-@dataclass(frozen=True)
-class RunLengthSequence:
-    """A binary sequence as (b; n_1, ..., n_K): first-run symbol plus run lengths.
-
-    ``run_lengths`` is empty only for the empty sequence, which ``encode``
-    never produces.
-    """
-
-    first_bit: int
-    run_lengths: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.first_bit not in (0, 1):
-            raise ValueError(f"first_bit must be 0 or 1, got {self.first_bit!r}")
-        if any(r < 1 for r in self.run_lengths):
-            raise ValueError(f"run lengths must be positive, got {self.run_lengths!r}")
-
-    @property
-    def length(self) -> int:
-        return sum(self.run_lengths)
-
-
-def encode(bits: Sequence[int]) -> RunLengthSequence:
-    """Run-length encode a non-empty binary sequence."""
-    bits = tuple(bits)
-    if not bits:
-        raise ValueError("cannot encode an empty sequence")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    bits = tuple(int(b) for b in bits)
-    lengths = []
-    current, count = bits[0], 0
-    for b in bits:
-        if b == current:
-            count += 1
-        else:
-            lengths.append(count)
-            current, count = b, 1
-    lengths.append(count)
-    return RunLengthSequence(bits[0], tuple(lengths))
 
 
 def _deletion_patterns(runs: Sequence[int]) -> np.ndarray:
@@ -76,15 +29,6 @@ def _deletion_patterns(runs: Sequence[int]) -> np.ndarray:
     return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
 
 
-def enumerate_deletion_patterns(runs: Sequence[int], d: int) -> Iterator[tuple[int, ...]]:
-    """Yield every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, summing to d."""
-    runs = tuple(runs)
-    if d < 0 or d > sum(runs):
-        raise ValueError(f"d must lie in [0, {sum(runs)}], got {d}")
-    patterns = _deletion_patterns(runs)
-    yield from map(tuple, patterns[patterns.sum(axis=1) == d].tolist())
-
-
 def expected_run_count(l: int, n: int) -> float:
     """Expected number of runs of length l in an i.u.d. n-bit sequence.
 
@@ -92,6 +36,8 @@ def expected_run_count(l: int, n: int) -> float:
     sequences give 2^(1-n) for l = n.  This is an expected count, not a
     probability, and exceeds 1 for small l.
     """
+    l = _check_integer(l, "expected_run_count", "run length")
+    n = _check_integer(n, "expected_run_count")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if l < 1 or l > n:
@@ -148,6 +94,9 @@ def mean_pattern_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
     every value computed so far over the span of j requested so far, and a
     request computes only the j it is missing.
     """
+    n = _check_integer(n, "mean_pattern_log_weights")
+    lo = _check_integer(lo, "mean_pattern_log_weights", "deletion count")
+    hi = _check_integer(hi, "mean_pattern_log_weights", "deletion count")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= lo <= hi <= n:
@@ -179,15 +128,15 @@ def mean_pattern_log_weight(n: int, j: int) -> float:
     return float(mean_pattern_log_weights(n, j, j)[0])
 
 
-def _single_insertion_weights(ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The printed and the exact single-insertion weights at each block length of ``ns``.
+def _single_insertion_weights(ns: Sequence[int], exact: bool = False) -> np.ndarray:
+    """The printed single-insertion weight at each block length of ``ns``, or the exact one.
 
     Each is fsum(t_l) / (4n) + 2^(-n-1) log2(n), t_l = 2^-l (c (l+2) log2(l+2)
     + 2 (l+1) log2(l+1)), with c = n + 1 - l printed and (n - l - 1) / 2
     exact, over l = 1..n-1 while 2^-l (n+3) (l+2) log2(l+2) is at least
     ``_RUN_WEIGHT_FLOOR``.  Each float operation is that sum's at n alone.
     """
-    ns = [operator.index(n) for n in ns]
+    ns = [_check_integer(n, "the single-insertion weight") for n in ns]
     if min(ns) < 1:
         raise ValueError(f"n must be >= 1, got {min(ns)}")
     # 2^-l (n+3) < 2^-128 from l = bit_length(n+3) + 128 on, so every cut-off lies below it
@@ -200,15 +149,15 @@ def _single_insertion_weights(ns: Sequence[int]) -> tuple[np.ndarray, np.ndarray
     # n + 1 = hi + lo with lo its low 32 bits: hi (l+2) and (lo - l)(l+2) are
     # exact floats for n < 2^77, so their sum is (n + 1 - l)(l + 2) rounded once
     lo, hi = np.array([((n + 1) & 0xFFFFFFFF, float((n + 1) >> 32 << 32)) for n in ns]).T[..., None]
-    printed = hi * (lengths + 2) + (lo - lengths) * (lengths + 2)
-    exact = (hi + (lo - lengths - 2)) / 2.0 * (lengths + 2)
-    counts, tails = keep.sum(axis=1).tolist(), [math.ldexp(math.log2(n), -(n + 1)) for n in ns]
-
-    def weights(c: np.ndarray) -> np.ndarray:
-        terms = iter((w * (c * logs[1:] + 2 * (lengths + 1) * logs[:-1]))[keep].tolist())
-        return np.array([math.fsum(islice(terms, k)) / (4 * n) + t for k, n, t in zip(counts, ns, tails)])
-
-    return weights(printed), weights(exact)
+    if exact:
+        c = (hi + (lo - lengths - 2)) / 2.0 * (lengths + 2)
+    else:
+        c = hi * (lengths + 2) + (lo - lengths) * (lengths + 2)
+    terms = iter((w * (c * logs[1:] + 2 * (lengths + 1) * logs[:-1]))[keep].tolist())
+    tails = [math.ldexp(math.log2(n), -(n + 1)) for n in ns]
+    return np.array(
+        [math.fsum(islice(terms, k)) / (4 * n) + t for k, n, t in zip(keep.sum(axis=1).tolist(), ns, tails)]
+    )
 
 
 def single_insertion_log_weight(n: int) -> float:
@@ -220,7 +169,7 @@ def single_insertion_log_weight(n: int) -> float:
     :func:`single_insertion_log_weight_exact`; the two agree only at n = 1
     (at n = 2 they are 0.969361 and 0.375000).
     """
-    return float(_single_insertion_weights([n])[0][0])
+    return float(_single_insertion_weights([n])[0])
 
 
 def single_insertion_log_weight_exact(n: int) -> float:
@@ -231,4 +180,4 @@ def single_insertion_log_weight_exact(n: int) -> float:
     interior runs, divided by 4n, with the single-run boundary case folded
     in.  Verified against exhaustive enumeration in the test suite.
     """
-    return float(_single_insertion_weights([n])[1][0])
+    return float(_single_insertion_weights([n], exact=True)[0])

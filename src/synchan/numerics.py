@@ -27,6 +27,13 @@ def _check_probability(p: float, name: str = "p") -> float:
     return p
 
 
+def _check_integer(value, owner: str, what: str = "block length") -> int:
+    """``value`` as an int if it is a Python or NumPy integer; a ValueError naming ``owner`` if not."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{owner} requires an integer {what}, got {value!r}")
+    return int(value)
+
+
 def binary_entropy(p: float) -> float:
     """Binary entropy H_b(p) = -p*log2(p) - (1-p)*log2(1-p) in bits."""
     p = _check_probability(p)
@@ -61,6 +68,7 @@ def _binomial_log_pmf_vec(n: int, p: float) -> np.ndarray:
 
 def block_entropy(n: int, p: float) -> float:
     """Entropy in bits of the per-block synchronization-event count Binomial(n, p)."""
+    n = _check_integer(n, "block_entropy")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     p = _check_probability(p)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, product
-from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,12 +24,8 @@ from .bounds import (
     random_insertion_bound,
 )
 from .channels import RngState
-from .combinatorics import (
-    RunLengthSequence,
-    enumerate_deletion_patterns,
-    single_insertion_log_weight_exact,
-)
-from .numerics import LN2, awgn_expectation, binary_entropy, block_entropy
+from .combinatorics import single_insertion_log_weight_exact
+from .numerics import LN2, _check_integer, awgn_expectation, binary_entropy, block_entropy
 
 __all__ = [
     "OracleResourceError",
@@ -44,8 +39,6 @@ __all__ = [
     "exact_insertion_entropies",
     "exact_insertion_conditional_law",
     "mc_awgn_entropy_check",
-    "deletion_awgn_pattern_entropy_bound",
-    "mc_deletion_awgn_pattern_entropy",
 ]
 
 MAX_DELETION_LAW_N = 14
@@ -59,11 +52,14 @@ class OracleResourceError(RuntimeError):
     """The requested block length exceeds the oracle's enumeration budget."""
 
 
-def _check_limit(n: int, limit: int, what: str) -> None:
+def _check_limit(n: int, limit: int, what: str) -> int:
+    """``n`` as an int of at least 1, else a ValueError; an OracleResourceError above ``limit``."""
+    n = _check_integer(n, what)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > limit:
         raise OracleResourceError(f"{what} supports n <= {limit}, got {n}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -71,17 +67,11 @@ class ExactDistribution:
     """A finite probability law over binary output sequences.
 
     ``support`` maps bit tuples to probabilities (floats, or Fractions in
-    rational mode).  ``residual`` is |1 - total mass|: exactly zero in
-    rational mode, float roundoff otherwise.
+    rational mode, where :meth:`mass` is exactly 1).
     """
 
     support: Mapping[tuple[int, ...], float | Fraction]
     exact: bool
-
-    @property
-    def residual(self):
-        one = Fraction(1) if self.exact else 1.0
-        return abs(one - self.mass())
 
     def mass(self):
         values = self.support.values()
@@ -310,7 +300,7 @@ def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     Per-length uniformity of the i.u.d. output law is equivalent to every
     element of entry m equalling 2^(n-m) * C(n, n-m).
     """
-    _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
+    n = _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
     return _deletion_sums(n, ())[1]
 
 
@@ -319,21 +309,21 @@ def _bits_le(code: int, m: int) -> tuple[int, ...]:
 
 
 def exact_deletion_law(
-    n: int, p_d: float | Fraction, include_conditionals: bool = True
+    n: int, p_d: float | Fraction
 ) -> tuple[ExactDistribution, dict[tuple[int, ...], ExactDistribution]]:
     """Exact i.u.d. output law of the deletion channel, plus per-input conditionals.
 
     Passing ``p_d`` as a :class:`fractions.Fraction` switches to exact
     rational arithmetic (mass sums to exactly 1).
     """
-    _check_limit(n, MAX_DELETION_LAW_N, "deletion law enumeration")
+    n = _check_limit(n, MAX_DELETION_LAW_N, "deletion law enumeration")
     exact = isinstance(p_d, Fraction)
     if not 0 <= p_d <= 1:
         raise ValueError(f"p_d must lie in [0, 1], got {p_d!r}")
     one = Fraction(1) if exact else 1.0
     denom = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
     marginal: dict[tuple[int, ...], float | Fraction] = {}
-    supports: list[dict] = [{} for _ in range(1 << n)] if include_conditionals else []
+    supports: list[dict] = [{} for _ in range(1 << n)]
     for m, agg in enumerate(deletion_output_multiplicities(n)):
         factor = p_d ** (n - m) * (one - p_d) ** m
         if factor == 0:
@@ -342,13 +332,12 @@ def exact_deletion_law(
         values = agg.tolist()
         scaled = {c: c * (factor * denom) for c in set(values)}
         marginal.update((keys[code], scaled[c]) for code, c in enumerate(values) if c)
-        if include_conditionals:
-            for rows, counts in _survivor_counts(n, m, np.arange(1 << n)):
-                index, codes = np.nonzero(counts)
-                values = counts[index, codes].tolist()
-                scaled = {c: c * factor for c in set(values)}
-                for x, code, c in zip((index + rows.start).tolist(), codes.tolist(), values):
-                    supports[x][keys[code]] = scaled[c]
+        for rows, counts in _survivor_counts(n, m, np.arange(1 << n)):
+            index, codes = np.nonzero(counts)
+            values = counts[index, codes].tolist()
+            scaled = {c: c * factor for c in set(values)}
+            for x, code, c in zip((index + rows.start).tolist(), codes.tolist(), values):
+                supports[x][keys[code]] = scaled[c]
     conditionals = {_bits_le(x, n): ExactDistribution(s, exact) for x, s in enumerate(supports)}
     return ExactDistribution(marginal, exact), conditionals
 
@@ -357,7 +346,7 @@ def _deletion_reports(
     n: int, p_ds: Sequence[float], p_es: Sequence[float]
 ) -> dict[tuple[float, float], EntropyReport]:
     """Exact deletion-substitution reports for every (p_d, p_e) of a grid, from one survivor pass."""
-    _check_limit(n, MAX_DELETION_ENTROPY_N, "deletion-substitution enumeration")
+    n = _check_limit(n, MAX_DELETION_ENTROPY_N, "deletion-substitution enumeration")
     if not all(0 <= p <= 1 for p in (*p_ds, *p_es)):
         raise ValueError("probabilities must lie in [0, 1]")
     sums, _ = _deletion_sums(n, tuple(float(p_e) for p_e in p_es))
@@ -444,7 +433,6 @@ def _insertion_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     entries twice, one row further on (four times at row n, which has no
     A).  Each is one bincount, with every length offset into its own row.
     """
-    _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
     aggregate = _insertion_count_law((2,) * n)
     aggregate.flags.writeable = False
     # no input's count exceeds the aggregate count of the same output
@@ -477,6 +465,7 @@ def insertion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     uniformity of the i.u.d. output law is equivalent to every element of
     entry j equalling 2^j * C(n, j).
     """
+    n = _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
     return _by_length(_insertion_tables(n)[1], n)
 
 
@@ -488,6 +477,7 @@ def _insertion_alpha(n: int, p_i: float) -> np.ndarray:
 
 def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
     """Exact H(Y), H(Y|X), and I(X;Y) for the random insertion channel."""
+    n = _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
     if not 0 <= p_i <= 1:
         raise ValueError(f"p_i must lie in [0, 1], got {p_i!r}")
     log_weight_mean, packed = _insertion_tables(n)
@@ -592,73 +582,3 @@ def mc_awgn_entropy_check(sigma: float, samples: int = 10_000_000, seed: int = 0
     closed = math.log2(2.0 * sigma * math.sqrt(2.0 * math.pi * math.e)) - awgn_expectation(sigma)
     deviation = abs(estimate - closed) / std_error if std_error > 0 else 0.0
     return McCheck(estimate, closed, std_error, deviation, deviation <= MC_MAX_SIGMAS)
-
-
-def _pattern_mixture(x: RunLengthSequence, d: int):
-    """Survivor symbol vectors and their conditional weights for d deletions."""
-    total = comb(x.length, d)
-    vectors = []
-    weights = []
-    for pattern in enumerate_deletion_patterns(x.run_lengths, d):
-        weight = math.prod(comb(nk, dk) for nk, dk in zip(x.run_lengths, pattern))
-        survivors = []
-        bit = x.first_bit
-        for nk, dk in zip(x.run_lengths, pattern):
-            survivors.extend([1.0 - 2.0 * bit] * (nk - dk))
-            bit ^= 1
-        vectors.append(tuple(survivors))
-        weights.append(weight / total)
-    return vectors, weights
-
-
-def deletion_awgn_pattern_entropy_bound(x: RunLengthSequence, d: int, sigma: float) -> float:
-    """Closed-form upper bound on the d-deletion AWGN output entropy given x.
-
-    (n-d) log2(sigma sqrt(2 pi e)) + log2 C(n,d) minus the mean log2 pattern
-    multiplicity, treating distinct deletion patterns as distinct outputs.
-    """
-    n = x.length
-    if not 0 <= d <= n:
-        raise ValueError(f"d must lie in [0, {n}], got {d}")
-    _, weights = _pattern_mixture(x, d)
-    total = comb(n, d)
-    pattern_term = math.fsum(w * math.log2(w * total) for w in weights if w > 0)
-    return (
-        (n - d) * math.log2(sigma * math.sqrt(2.0 * math.pi * math.e))
-        + math.log2(total)
-        - pattern_term
-    )
-
-
-def mc_deletion_awgn_pattern_entropy(
-    x: RunLengthSequence, d: int, sigma: float, samples: int = 200_000, seed: int = 0
-) -> tuple[float, float]:
-    """Monte-Carlo estimate (value, std error) of the d-deletion AWGN output entropy.
-
-    Samples from the true pattern mixture and averages -log2 of its density,
-    so the estimate converges to the exact differential entropy that
-    :func:`deletion_awgn_pattern_entropy_bound` upper-bounds.
-    """
-    n = x.length
-    if not 0 <= d < n:
-        raise ValueError(f"d must lie in [0, {n}), got {d}")
-    vectors, weights = _pattern_mixture(x, d)
-    centers = np.array(vectors)
-    probs = np.array(weights)
-    gen = RngState(seed).generator
-    dim = n - d
-    choice = gen.choice(len(probs), size=samples, p=probs)
-    y = centers[choice] + sigma * gen.standard_normal((samples, dim))
-    # log density of the pattern mixture, stabilized over patterns
-    sq = ((y[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    log_terms = np.log(probs)[None, :] - sq / (2.0 * sigma**2)
-    peak = log_terms.max(axis=1)
-    log_density = (
-        peak
-        + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
-        - dim * math.log(sigma * math.sqrt(2.0 * math.pi))
-    )
-    values = -log_density / LN2
-    estimate = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(samples))
-    return estimate, std_error

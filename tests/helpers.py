@@ -1,23 +1,30 @@
-"""Brute-force enumeration and high-precision helpers shared by several test modules.
+"""Brute-force enumeration, high-precision and reference helpers shared by several test modules.
 
-These are deliberately written in the most direct way possible (string
-enumeration, integer counting, mpmath sums) so they stay independent of the
-library code they check.  ``run_python`` runs code in a fresh interpreter.
+The brute-force helpers are deliberately written in the most direct way
+possible (string enumeration, integer counting, mpmath sums) so they stay
+independent of the library code they check.  The reference code at the end
+(run-length coding, per-run deletion patterns, the deletion-AWGN pattern
+mixture and the small-p deletion capacity expansion) is what only the tests
+call.  ``run_python`` runs code in a fresh interpreter.
 """
 
 import math
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import mpmath
+import numpy as np
 
 import synchan
-from synchan.combinatorics import _RUN_WEIGHT_FLOOR
-from synchan.numerics import binary_entropy
+from synchan.bounds import capacity_expansion_constant
+from synchan.channels import RngState
+from synchan.combinatorics import _RUN_WEIGHT_FLOOR, _deletion_patterns
+from synchan.numerics import LN2, binary_entropy
 from synchan.oracle import OracleResourceError
 
 
@@ -162,3 +169,136 @@ def exact_block_entropy(n, p):
             mass = comb(n, j) * mp**j * (1 - mp) ** (n - j)
             total -= mass * mpmath.log(mass, 2)
         return float(total)
+
+
+@dataclass(frozen=True)
+class RunLengthSequence:
+    """A binary sequence as (b; n_1, ..., n_K): first-run symbol plus run lengths.
+
+    ``run_lengths`` is empty only for the empty sequence, which ``encode``
+    never produces.
+    """
+
+    first_bit: int
+    run_lengths: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.first_bit not in (0, 1):
+            raise ValueError(f"first_bit must be 0 or 1, got {self.first_bit!r}")
+        if any(r < 1 for r in self.run_lengths):
+            raise ValueError(f"run lengths must be positive, got {self.run_lengths!r}")
+
+    @property
+    def length(self) -> int:
+        return sum(self.run_lengths)
+
+
+def encode(bits):
+    """Run-length encode a non-empty binary sequence."""
+    bits = tuple(bits)
+    if not bits:
+        raise ValueError("cannot encode an empty sequence")
+    if any(b not in (0, 1) for b in bits):
+        raise ValueError("bits must be 0 or 1")
+    bits = tuple(int(b) for b in bits)
+    lengths = []
+    current, count = bits[0], 0
+    for b in bits:
+        if b == current:
+            count += 1
+        else:
+            lengths.append(count)
+            current, count = b, 1
+    lengths.append(count)
+    return RunLengthSequence(bits[0], tuple(lengths))
+
+
+def enumerate_deletion_patterns(runs, d):
+    """Yield every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, summing to d.
+
+    The patterns are the rows of the property scope's kernel, in its order.
+    """
+    runs = tuple(runs)
+    if d < 0 or d > sum(runs):
+        raise ValueError(f"d must lie in [0, {sum(runs)}], got {d}")
+    patterns = _deletion_patterns(runs)
+    yield from map(tuple, patterns[patterns.sum(axis=1) == d].tolist())
+
+
+def pattern_mixture(x, d):
+    """Survivor symbol vectors and their conditional weights for d deletions."""
+    total = comb(x.length, d)
+    vectors = []
+    weights = []
+    for pattern in enumerate_deletion_patterns(x.run_lengths, d):
+        weight = math.prod(comb(nk, dk) for nk, dk in zip(x.run_lengths, pattern))
+        survivors = []
+        bit = x.first_bit
+        for nk, dk in zip(x.run_lengths, pattern):
+            survivors.extend([1.0 - 2.0 * bit] * (nk - dk))
+            bit ^= 1
+        vectors.append(tuple(survivors))
+        weights.append(weight / total)
+    return vectors, weights
+
+
+def deletion_awgn_pattern_entropy_bound(x, d, sigma):
+    """Closed-form upper bound on the d-deletion AWGN output entropy given x.
+
+    (n-d) log2(sigma sqrt(2 pi e)) + log2 C(n,d) minus the mean log2 pattern
+    multiplicity, treating distinct deletion patterns as distinct outputs.
+    """
+    n = x.length
+    if not 0 <= d <= n:
+        raise ValueError(f"d must lie in [0, {n}], got {d}")
+    _, weights = pattern_mixture(x, d)
+    total = comb(n, d)
+    pattern_term = math.fsum(w * math.log2(w * total) for w in weights if w > 0)
+    return (
+        (n - d) * math.log2(sigma * math.sqrt(2.0 * math.pi * math.e))
+        + math.log2(total)
+        - pattern_term
+    )
+
+
+def mc_deletion_awgn_pattern_entropy(x, d, sigma, samples=200_000, seed=0):
+    """Monte-Carlo estimate (value, std error) of the d-deletion AWGN output entropy.
+
+    Samples from the true pattern mixture and averages -log2 of its density,
+    so the estimate converges to the exact differential entropy that
+    :func:`deletion_awgn_pattern_entropy_bound` upper-bounds.
+    """
+    n = x.length
+    if not 0 <= d < n:
+        raise ValueError(f"d must lie in [0, {n}), got {d}")
+    vectors, weights = pattern_mixture(x, d)
+    centers = np.array(vectors)
+    probs = np.array(weights)
+    gen = RngState(seed).generator
+    dim = n - d
+    choice = gen.choice(len(probs), size=samples, p=probs)
+    y = centers[choice] + sigma * gen.standard_normal((samples, dim))
+    # log density of the pattern mixture, stabilized over patterns
+    sq = ((y[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    log_terms = np.log(probs)[None, :] - sq / (2.0 * sigma**2)
+    peak = log_terms.max(axis=1)
+    log_density = (
+        peak
+        + np.log(np.exp(log_terms - peak[:, None]).sum(axis=1))
+        - dim * math.log(sigma * math.sqrt(2.0 * math.pi))
+    )
+    values = -log_density / LN2
+    estimate = float(values.mean())
+    std_error = float(values.std(ddof=1) / math.sqrt(samples))
+    return estimate, std_error
+
+
+def capacity_expansion_deletion(p_d):
+    """Dominant terms 1 + p log2(p) - A1*p of the small-p deletion capacity.
+
+    Diagnostic comparison curve only: the omitted remainder is O(p^1.4), so
+    this is not a lower bound.
+    """
+    if not 0.0 < p_d < 1.0:
+        raise ValueError(f"p_d must lie in (0, 1), got {p_d!r}")
+    return 1.0 + p_d * math.log2(p_d) - capacity_expansion_constant() * p_d

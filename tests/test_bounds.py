@@ -8,7 +8,6 @@ from synchan import bounds
 from synchan.bounds import (
     ChannelParams,
     capacity_expansion_constant,
-    capacity_expansion_deletion,
     deletion_awgn_bound,
     deletion_bound,
     deletion_bound_small_p,
@@ -22,10 +21,28 @@ from synchan.bounds import (
     random_insertion_bound,
     random_insertion_bound_small_p,
 )
-from synchan.numerics import awgn_expectation, binary_entropy
+from synchan.combinatorics import (
+    expected_run_count,
+    mean_pattern_log_weight,
+    single_insertion_log_weight,
+    single_insertion_log_weight_exact,
+)
+from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
+from synchan.oracle import (
+    deletion_output_multiplicities,
+    exact_deletion_law,
+    exact_deletion_substitution_entropies,
+    exact_insertion_entropies,
+    insertion_output_multiplicities,
+)
 from synchan.reference_tables import OPTIMIZE_N_MAX, table2_diffs
 
-from helpers import brute_mean_pattern_log_weight, scalar_insertion_rate, scalar_single_insertion_sum
+from helpers import (
+    brute_mean_pattern_log_weight,
+    capacity_expansion_deletion,
+    scalar_insertion_rate,
+    scalar_single_insertion_sum,
+)
 
 
 class TestChannelParams:
@@ -297,6 +314,12 @@ class TestOptimizeBlockLength:
         with pytest.raises(ValueError, match="'gallager' has no block length"):
             optimize_block_length("gallager", ChannelParams(), 16)
 
+    @pytest.mark.parametrize("n_min", [2.5, 2.0, "2"])
+    def test_n_min_must_be_an_integer(self, n_min):
+        # n_max is in the block-length test below; there None is no default
+        with pytest.raises(ValueError, match="requires an integer block length"):
+            optimize_block_length("deletion", ChannelParams.deletion(0.1), 10, n_min)
+
     @pytest.mark.parametrize(
         "method, params, n_max, n_min",
         [
@@ -433,6 +456,17 @@ _TAKES_N = {
     "insertion_bound_from_weight": lambda n: insertion_bound_from_weight(n, 0.1, 1.5),
     "deletion_small_p_coefficients": deletion_small_p_coefficients,
     "insertion_small_p_coefficients": insertion_small_p_coefficients,
+    "optimize_block_length": lambda n: optimize_block_length("deletion", ChannelParams.deletion(0.1), n),
+    "expected_run_count": lambda n: expected_run_count(2, n),
+    "mean_pattern_log_weight": lambda n: mean_pattern_log_weight(n, 2),
+    "block_entropy": lambda n: block_entropy(n, 0.1),
+    "single_insertion_log_weight": single_insertion_log_weight,
+    "single_insertion_log_weight_exact": single_insertion_log_weight_exact,
+    "deletion_output_multiplicities": deletion_output_multiplicities,
+    "insertion_output_multiplicities": insertion_output_multiplicities,
+    "exact_deletion_law": lambda n: exact_deletion_law(n, 0.1),
+    "exact_deletion_substitution_entropies": lambda n: exact_deletion_substitution_entropies(n, 0.1, 0.02),
+    "exact_insertion_entropies": lambda n: exact_insertion_entropies(n, 0.1),
 } | {
     f"evaluate_bound({method!r})": lambda n, method=method: evaluate_bound(method, ChannelParams(), n)
     for method in sorted(bounds._BOUNDS)

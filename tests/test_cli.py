@@ -156,7 +156,8 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", "II", "--csv", str(path))
         assert code == 0
         assert "0 beyond tolerance" in out
-        rows = list(csv.DictReader(path.open()))
+        with path.open(newline="") as f:
+            rows = list(csv.DictReader(f))
         assert all(row["within"] == "1" for row in rows)
         assert {row["column"] for row in rows} >= {"optimal_n", "bound", "gallager"}
 
@@ -178,7 +179,8 @@ class TestSweepCommand:
             "--pi", "0.03,0.1,0.23,0.25", "--n", "3", "--csv", str(path),
         )
         assert code == 0
-        rows = list(csv.DictReader(path.open()))
+        with path.open(newline="") as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 4
         for row in rows:
             p_i = float(row["p_i"])
@@ -194,7 +196,8 @@ class TestSweepCommand:
             "--snr-db", "0:10:6:lin", "--n", "100", "--csv", str(path),
         )
         assert code == 0
-        rows = list(csv.DictReader(path.open()))
+        with path.open(newline="") as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 18
         by_pd = {}
         for row in rows:

@@ -9,9 +9,6 @@ from hypothesis import given, strategies as st
 from synchan import combinatorics, verification
 from synchan.channels import RngState
 from synchan.combinatorics import (
-    RunLengthSequence,
-    encode,
-    enumerate_deletion_patterns,
     expected_run_count,
     mean_pattern_log_weight,
     mean_pattern_log_weights,
@@ -20,10 +17,13 @@ from synchan.combinatorics import (
 )
 
 from helpers import (
+    RunLengthSequence,
     all_bit_strings,
     brute_mean_pattern_log_weight,
     brute_single_insertion_log_weight,
     brute_subsequence_counts,
+    encode,
+    enumerate_deletion_patterns,
     run_python,
     runs_of,
     scalar_single_insertion_sum,
@@ -171,6 +171,8 @@ class TestExpectedRunCount:
             expected_run_count(0, 4)
         with pytest.raises(ValueError):
             expected_run_count(5, 4)
+        with pytest.raises(ValueError, match="requires an integer run length"):
+            expected_run_count(2.5, 10)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exhaustive_enumeration(self, n):
@@ -288,7 +290,7 @@ class TestSingleInsertionLogWeight:
 
     def test_kernel_is_bit_identical_to_the_scalar_sums(self):
         ns = [*range(1, 1101), 10**6, 2**40, 10**18]
-        printed, exact = combinatorics._single_insertion_weights(ns)
+        printed, exact = (combinatorics._single_insertion_weights(ns, flag) for flag in (False, True))
         for n, p, e in zip(ns, printed.tolist(), exact.tolist(), strict=True):
             expected_p = scalar_single_insertion_sum(n, lambda l: n + 1 - l)
             expected_e = scalar_single_insertion_sum(n, lambda l: (n - l - 1) / 2.0)

@@ -28,6 +28,123 @@ def test_package_exports_only_module_exports():
     assert exported - public == set()
 
 
+# the public surface, name by name: a name added to or removed from it is a deliberate edit here
+PUBLIC = {
+    "bounds": [
+        "BoundResult",
+        "ChannelParams",
+        "capacity_expansion_constant",
+        "deletion_awgn_bound",
+        "deletion_bound",
+        "deletion_bound_small_p",
+        "deletion_small_p_coefficients",
+        "deletion_substitution_bound",
+        "evaluate_bound",
+        "gallager_bound",
+        "insertion_bound_from_weight",
+        "insertion_small_p_coefficients",
+        "optimize_block_length",
+        "random_insertion_bound",
+        "random_insertion_bound_small_p",
+    ],
+    "channels": [
+        "RngState",
+        "simulate_bsc",
+        "simulate_deletion",
+        "simulate_deletion_awgn",
+        "simulate_deletion_substitution",
+        "simulate_gallager_insertion",
+    ],
+    "combinatorics": [
+        "expected_run_count",
+        "mean_pattern_log_weight",
+        "mean_pattern_log_weights",
+        "single_insertion_log_weight",
+        "single_insertion_log_weight_exact",
+    ],
+    "numerics": ["awgn_expectation", "binary_entropy", "block_entropy"],
+    "oracle": [
+        "Comparison",
+        "EntropyReport",
+        "ExactDistribution",
+        "OracleResourceError",
+        "deletion_output_multiplicities",
+        "exact_deletion_law",
+        "exact_deletion_substitution_entropies",
+        "exact_insertion_conditional_law",
+        "exact_insertion_entropies",
+        "insertion_output_multiplicities",
+        "mc_awgn_entropy_check",
+    ],
+    "reference_tables": [
+        "ABS_TOL",
+        "CellDiff",
+        "KNOWN_DISCREPANT_CELLS",
+        "REL_TOL",
+        "TABLE1_LEFT",
+        "TABLE1_RIGHT",
+        "TABLE2_LEFT",
+        "TABLE2_RIGHT",
+        "table1_diffs",
+        "table2_diffs",
+    ],
+    "verification": [
+        "Check",
+        "SIGNIFICANCE",
+        "run_chain_checks",
+        "run_oracle_checks",
+        "run_property_checks",
+        "run_scopes",
+        "run_simulator_checks",
+    ],
+}
+
+PACKAGE = [
+    "BoundResult",
+    "ChannelParams",
+    "EntropyReport",
+    "ExactDistribution",
+    "RngState",
+    "awgn_expectation",
+    "binary_entropy",
+    "block_entropy",
+    "capacity_expansion_constant",
+    "deletion_awgn_bound",
+    "deletion_bound",
+    "deletion_bound_small_p",
+    "deletion_substitution_bound",
+    "evaluate_bound",
+    "exact_deletion_law",
+    "exact_deletion_substitution_entropies",
+    "exact_insertion_entropies",
+    "expected_run_count",
+    "gallager_bound",
+    "mc_awgn_entropy_check",
+    "mean_pattern_log_weight",
+    "optimize_block_length",
+    "random_insertion_bound",
+    "random_insertion_bound_small_p",
+    "simulate_bsc",
+    "simulate_deletion",
+    "simulate_deletion_awgn",
+    "simulate_deletion_substitution",
+    "simulate_gallager_insertion",
+    "single_insertion_log_weight",
+    "single_insertion_log_weight_exact",
+]
+
+
+def test_public_surface_is_pinned():
+    exports = {name: sorted(importlib.import_module(f"synchan.{name}").__all__) for name in MODULES}
+    assert exports == PUBLIC
+    exported = sorted(
+        attr
+        for attr, value in vars(synchan).items()
+        if not attr.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == PACKAGE
+
+
 # in a fresh interpreter: which heavy modules each stage of a run has loaded
 _LOADED_MODULES_SCRIPT = """
 import contextlib, io, json, sys
