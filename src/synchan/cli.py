@@ -1,7 +1,7 @@
 """Command-line front end: bound evaluation, table regeneration, sweeps, verification.
 
 Subcommands: ``bound``, ``table``, ``sweep``, ``verify``, ``optimize``.
-CSV output is UTF-8, comma-separated, with a header row and '.' decimals;
+CSV output is UTF-8, comma-separated, CRLF-terminated, with a header row and '.' decimals;
 rates are printed with at least six significant digits.
 
 The SNR flag assumes unit-energy antipodal signalling with noise variance
@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .bounds import _BOUNDS, ChannelParams, _grid_rates, evaluate_bound, optimize_block_length
 from .reference_tables import CellDiff, table1_diffs, table2_diffs
-from .verification import Check, run_scopes
+from .verification import Check, _recorded_defect, run_scopes
 
 _METHODS = {
     "gallager": "gallager",
@@ -96,21 +96,7 @@ def _print_result(result, as_json: bool) -> None:
         print(f"  {name:<24s} {value:+.6g}")
 
 
-def _print_optimum(args, n_max: int, n_min: int | None) -> int:
-    method, params = _METHODS[args.method], _params_from_args(args)
-    if _BOUNDS[method].n_min is None:  # name the choices as --method spells them
-        scanned = sorted(name for name, tag in _METHODS.items() if _BOUNDS[tag].n_min is not None)
-        raise ValueError(f"method {args.method!r} has no block length; choose from {scanned}")
-    n_star, result = optimize_block_length(method, params, n_max, n_min)
-    if not args.json:
-        print(f"optimal n     {n_star}")
-    _print_result(result, args.json)
-    return 0
-
-
 def cmd_bound(args) -> int:
-    if args.optimize_n is not None:
-        return _print_optimum(args, args.optimize_n, None)
     _print_result(evaluate_bound(_METHODS[args.method], _params_from_args(args), args.n), args.json)
     return 0
 
@@ -266,7 +252,7 @@ def cmd_verify(args) -> int:
         began = time.perf_counter()
         results.update(run_scopes([scope], seed=args.seed, mc_scale=scale))
         wall_s[scope] = time.perf_counter() - began
-    failures: list[str] = []
+    failures, known = [], []  # each failing check as scope:name, and those of the recorded defect
     for scope in scopes:
         checks: list[Check] = results.get(scope, [])
         if not args.json:
@@ -274,6 +260,7 @@ def cmd_verify(args) -> int:
             for check in checks:
                 print(f"  {check}")
         failures.extend(f"{scope}:{c.name}" for c in checks if not c.passed)
+        known.extend(f"{scope}:{c.name}" for c in checks if _recorded_defect(scope, c))
     if args.json:
         payload = {
             "schema_version": _VERIFY_SCHEMA_VERSION,
@@ -285,16 +272,28 @@ def cmd_verify(args) -> int:
                 for scope in scopes
             },
             "failures": failures,
+            "known_failures": known,
             "wall_s": wall_s,
         }
         print(json.dumps(payload, indent=2))
+    elif failures:
+        print(f"{len(known)} of {len(failures)} failures are the recorded insertion-weight defect (README)")
+        print(f"{len(failures)} failing checks")
     else:
-        print(f"{len(failures)} failing checks" if failures else "all checks passed")
+        print("all checks passed")
     return 1 if failures else 0
 
 
 def cmd_optimize(args) -> int:
-    return _print_optimum(args, args.n_max, args.n_min)
+    method, params = _METHODS[args.method], _params_from_args(args)
+    if _BOUNDS[method].n_min is None:  # name the choices as --method spells them
+        scanned = sorted(name for name, tag in _METHODS.items() if _BOUNDS[tag].n_min is not None)
+        raise ValueError(f"method {args.method!r} has no block length; choose from {scanned}")
+    n_star, result = optimize_block_length(method, params, args.n_max, args.n_min)
+    if not args.json:
+        print(f"optimal n     {n_star}")
+    _print_result(result, args.json)
+    return 0
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -316,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="evaluate one bound")
     p_bound.add_argument("--method", choices=sorted(_METHODS), required=True)
     p_bound.add_argument("--n", type=int, default=None, help="block length")
-    p_bound.add_argument(
-        "--optimize-n", type=int, default=None, metavar="MAX", help="scan block lengths up to MAX"
-    )
     _add_param_flags(p_bound)
     p_bound.add_argument("--json", action="store_true")
     p_bound.set_defaults(func=cmd_bound)

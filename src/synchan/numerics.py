@@ -29,7 +29,7 @@ def _check_probability(p: float, name: str = "p") -> float:
 
 def _check_integer(value, owner: str, what: str = "block length") -> int:
     """``value`` as an int if it is a Python or NumPy integer; a ValueError naming ``owner`` if not."""
-    if not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # a flag is not a count
         raise ValueError(f"{owner} requires an integer {what}, got {value!r}")
     return int(value)
 

@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import (
-    _DEFAULT_N_MIN,
-    ChannelParams,
-    _grid_rates,
-    deletion_substitution_bound,
-    gallager_bound,
-    random_insertion_bound,
-)
+from .bounds import _DEFAULT_N_MIN, _grid_rates
 
 __all__ = [
     "ABS_TOL",
@@ -114,32 +107,32 @@ class CellDiff:
 
 
 def _diff(table: str, row, column: str, expected: float, computed: float, kind: str) -> CellDiff:
-    if kind == "abs":
-        ok = abs(computed - expected) <= ABS_TOL
-    elif kind == "rel":
-        ok = abs(computed - expected) <= REL_TOL * abs(expected)
-    else:
-        ok = computed == expected
-    return CellDiff(table, tuple(row), column, expected, computed, kind, ok)
+    tol = {"abs": ABS_TOL, "rel": REL_TOL * abs(expected), "exact": 0}[kind]
+    return CellDiff(table, tuple(row), column, expected, computed, kind, abs(computed - expected) <= tol)
+
+
+def _row_diffs(table: str, row, columns, refs, rates) -> list[CellDiff]:
+    """A row's rate cells: rates compared absolutely, or in a left block losses 1 - rate, relatively."""
+    loss = table.endswith("_left")
+    return [
+        _diff(table, row, column, ref, 1.0 - rate if loss else rate, "rel" if loss else "abs")
+        for column, ref, rate in zip(columns, refs, rates)
+    ]
 
 
 def table1_diffs() -> list[CellDiff]:
-    """Regenerate every cell of the deletion-substitution table."""
+    """Regenerate every cell of the deletion-substitution table, each block from one grid."""
     diffs = []
-    for p_d, p_e, ref_g, ref_1000, ref_100 in TABLE1_RIGHT:
-        row = (p_d, p_e)
-        g = gallager_bound(ChannelParams.deletion_substitution(p_d, p_e)).rate
-        diffs.append(_diff("table1_right", row, "gallager", ref_g, g, "abs"))
-        for n, ref in ((1000, ref_1000), (100, ref_100)):
-            rate = deletion_substitution_bound(n, p_d, p_e).rate
-            diffs.append(_diff("table1_right", row, f"rate_n{n}", ref, rate, "abs"))
-    for p_d, p_e, ref_g, ref_1000, ref_100 in TABLE1_LEFT:
-        row = (p_d, p_e)
-        g = gallager_bound(ChannelParams.deletion_substitution(p_d, p_e)).rate
-        diffs.append(_diff("table1_left", row, "loss_gallager", ref_g, 1.0 - g, "rel"))
-        for n, ref in ((1000, ref_1000), (100, ref_100)):
-            rate = deletion_substitution_bound(n, p_d, p_e).rate
-            diffs.append(_diff("table1_left", row, f"loss_n{n}", ref, 1.0 - rate, "rel"))
+    for table, rows, columns in (
+        ("table1_right", TABLE1_RIGHT, ("gallager", "rate_n1000", "rate_n100")),
+        ("table1_left", TABLE1_LEFT, ("loss_gallager", "loss_n1000", "loss_n100")),
+    ):
+        # each block is a full p_d x p_e grid, so one call computes each (n, p_d) pattern gain once
+        p_ds, p_es = (list(dict.fromkeys(axis)) for axis in list(zip(*rows))[:2])
+        grids = _grid_rates(["gallager", "deletion_substitution"], p_ds, p_es, [0.0], [0.0], [1000, 100])
+        for p_d, p_e, *refs in rows:
+            gallager, rates = (grid[p_ds.index(p_d), p_es.index(p_e), 0, 0].tolist() for grid in grids)
+            diffs += _row_diffs(table, (p_d, p_e), columns, refs, [gallager[0], *rates])
     return diffs
 
 
@@ -147,20 +140,17 @@ def table2_diffs() -> list[CellDiff]:
     """Regenerate every cell of the random-insertion table, optima included, from one scan grid."""
     p_is = [row[0] for row in TABLE2_LEFT + TABLE2_RIGHT]
     lengths = range(_DEFAULT_N_MIN["random_insertion"], OPTIMIZE_N_MAX + 1)
-    rates = _grid_rates(["random_insertion"], [0.0], [0.0], p_is, [0.0], lengths)[0]
-    # each row's first argmax, as in optimize_block_length
-    best = [lengths[i] for i in rates.reshape(len(p_is), len(lengths)).argmax(axis=1)]
-    optima = {p_i: (n, random_insertion_bound(n, p_i).rate) for p_i, n in zip(p_is, best)}
+    grids = _grid_rates(["random_insertion", "gallager"], [0.0], [0.0], p_is, [0.0], lengths)
+    rates, gallager = (grid.reshape(len(p_is), len(lengths)) for grid in grids)
+    best = rates.argmax(axis=1)  # each row's first argmax, as in optimize_block_length
     diffs = []
-    for table, rows in (("table2_left", TABLE2_LEFT), ("table2_right", TABLE2_RIGHT)):
+    for table, rows, columns in (
+        ("table2_left", TABLE2_LEFT, ("loss_gallager", "loss_bound")),
+        ("table2_right", TABLE2_RIGHT, ("gallager", "bound")),
+    ):
         for p_i, ref_g, ref_rate, ref_n in rows:
-            row, (n_star, rate) = (p_i, 0.0), optima[p_i]
-            g = gallager_bound(ChannelParams.insertion(p_i)).rate
-            if table == "table2_left":  # losses, relative
-                diffs.append(_diff(table, row, "loss_gallager", ref_g, 1.0 - g, "rel"))
-                diffs.append(_diff(table, row, "loss_bound", ref_rate, 1.0 - rate, "rel"))
-            else:
-                diffs.append(_diff(table, row, "gallager", ref_g, g, "abs"))
-                diffs.append(_diff(table, row, "bound", ref_rate, rate, "abs"))
-            diffs.append(_diff(table, row, "optimal_n", ref_n, n_star, "exact"))
+            k = p_is.index(p_i)
+            optimum = [gallager[k, 0].item(), rates[k, best[k]].item()]
+            diffs += _row_diffs(table, (p_i, 0.0), columns, (ref_g, ref_rate), optimum)
+            diffs.append(_diff(table, (p_i, 0.0), "optimal_n", ref_n, lengths[best[k]], "exact"))
     return diffs

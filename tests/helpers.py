@@ -8,6 +8,7 @@ mixture and the small-p deletion capacity expansion) is what only the tests
 call.  ``run_python`` runs code in a fresh interpreter.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -169,6 +170,70 @@ def exact_block_entropy(n, p):
             mass = comb(n, j) * mp**j * (1 - mp) ** (n - j)
             total -= mass * mpmath.log(mass, 2)
         return float(total)
+
+
+def mp_pattern_log_weight(n, j, digits=40):
+    """W_j(n) summed over run lengths l in mpmath, with the hypergeometric
+    terms of each l advanced by their ratio and a tail below 1e-45."""
+    with mpmath.workdps(digits):
+        total = mpmath.mpf(2) ** (1 - n) * mpmath.log(mpmath.binomial(n, j), 2)
+        for l in range(1, n):
+            runs = mpmath.mpf(2) ** (-l - 1) * (n - l + 3)
+            if runs * n < mpmath.mpf(10) ** -45:
+                break
+            first, last = max(1, j - (n - l)), min(j, l)
+            if first > last:
+                continue
+            hyper = mpmath.binomial(l, first) * mpmath.binomial(n - l, j - first)
+            hyper /= mpmath.binomial(n, j)
+            inner = mpmath.mpf(0)
+            for jp in range(first, last + 1):
+                inner += hyper * mpmath.log(mpmath.binomial(l, jp), 2)
+                hyper *= mpmath.mpf((l - jp) * (j - jp)) / ((jp + 1) * (n - l - j + jp + 1))
+            total += runs * inner
+        return float(total)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_log2_binomials(run_cut, digits):
+    """log2 C(l, k) for 0 <= k <= l <= run_cut, in mpmath."""
+    with mpmath.workdps(digits):
+        return [[mpmath.log(comb(l, k), 2) for k in range(l + 1)] for l in range(run_cut + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_run_gains(p, run_cut, digits):
+    """g_l(p) = E[log2 C(l, K)], K ~ Bin(l, p), for l = 0..run_cut and 0 <= p < 1, in mpmath."""
+    logs = _mp_log2_binomials(run_cut, digits)
+    with mpmath.workdps(digits):
+        p, q = mpmath.mpf(p), 1 - mpmath.mpf(p)
+        gains = []
+        for l in range(run_cut + 1):
+            pmf, gain = q**l, mpmath.mpf(0)
+            for k in range(l + 1):
+                gain += pmf * logs[l][k]
+                pmf *= p * (l - k) / ((k + 1) * q)
+            gains.append(gain)
+        return tuple(gains)
+
+
+def mp_pattern_gain(n, p, run_cut=160, digits=40):
+    """The deletion-family pattern gain (1/n) sum_l E_l(n) g_l(p) in mpmath, as an mpf.
+
+    E_l(n), the mean number of runs of length l in n uniform bits, is
+    2^(-l-1) (n - l + 3) for l < n and 2^(1-n) for l = n; g_l(p) is
+    E[log2 C(l, K)] with K ~ Bin(l, p), since the Bin(n, p) deletions of a
+    block hit a run of length l Bin(l, p) times.  Runs longer than
+    ``run_cut`` are dropped: g_l <= l bounds their share by
+    (n + 3)/n * sum_{l > 160} l 2^(-l-1), below 1e-46.
+    """
+    gains = _mp_run_gains(p, run_cut, digits)
+    with mpmath.workdps(digits):
+        two = mpmath.mpf(2)
+        total = mpmath.fsum(two ** (-l - 1) * (n - l + 3) * gains[l] for l in range(1, min(n, run_cut + 1)))
+        if n <= run_cut:
+            total += two ** (1 - n) * gains[n]
+        return total / n
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,8 @@ from synchan.reference_tables import OPTIMIZE_N_MAX, table2_diffs
 from helpers import (
     brute_mean_pattern_log_weight,
     capacity_expansion_deletion,
+    mp_pattern_gain,
+    mp_pattern_log_weight,
     scalar_insertion_rate,
     scalar_single_insertion_sum,
 )
@@ -128,6 +130,29 @@ class TestDeletionSubstitutionBound:
     def test_monotone_in_substitution_probability(self):
         rates = [deletion_substitution_bound(50, 0.05, p_e).rate for p_e in np.linspace(0, 0.5, 11)]
         assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+class TestPatternGainReference:
+    """The deletion-family pattern gain against a 40-digit evaluation of its run-length form.
+
+    The reference sums (1/n) sum_l E_l(n) g_l(p_d) with g_l(p) = E[log2 C(l, K)],
+    K ~ Bin(l, p); it never forms a W_j(n).  The kernel's tolerance, 2e-12, was
+    fixed before this test ran, above its largest error measured before (8.2e-13).
+    """
+
+    P_D = (1e-4, 0.01, 0.1, 0.3)
+
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_reference_equals_the_hypergeometric_weight_sum(self, n):
+        weights = [mp_pattern_log_weight(n, j) for j in range(n + 1)]
+        for p in self.P_D:
+            terms = [math.comb(n, j) * p**j * (1 - p) ** (n - j) * w for j, w in enumerate(weights)]
+            assert float(mp_pattern_gain(n, p)) == pytest.approx(math.fsum(terms) / n, abs=2e-15)
+
+    @pytest.mark.parametrize("n", [100, 1000, 10000])
+    @pytest.mark.parametrize("p_d", P_D)
+    def test_kernel_at_the_paper_block_lengths(self, n, p_d):
+        assert abs(bounds._pattern_gain(n, p_d) - float(mp_pattern_gain(n, p_d))) <= 2e-12
 
 
 class TestDeletionBound:
@@ -475,7 +500,7 @@ _TAKES_N = {
 
 
 @pytest.mark.parametrize("call", sorted(_TAKES_N))
-@pytest.mark.parametrize("n", [5.5, 5.0, math.nan, math.inf, "5", None])
+@pytest.mark.parametrize("n", [5.5, 5.0, math.nan, math.inf, "5", None, True, False])
 def test_a_block_length_that_is_not_an_integer_is_a_value_error(call, n):
     with pytest.raises(ValueError, match="requires an integer block length"):
         _TAKES_N[call](n)

@@ -1,7 +1,6 @@
 import math
 from math import comb
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,6 +23,7 @@ from helpers import (
     brute_subsequence_counts,
     encode,
     enumerate_deletion_patterns,
+    mp_pattern_log_weight,
     run_python,
     runs_of,
     scalar_single_insertion_sum,
@@ -31,28 +31,6 @@ from helpers import (
 )
 
 bits_of = lambda s: [int(c) for c in s]
-
-
-def mp_pattern_log_weight(n, j, digits=40):
-    """W_j(n) summed over run lengths l in mpmath, with the hypergeometric
-    terms of each l advanced by their ratio and a tail below 1e-45."""
-    with mpmath.workdps(digits):
-        total = mpmath.mpf(2) ** (1 - n) * mpmath.log(mpmath.binomial(n, j), 2)
-        for l in range(1, n):
-            runs = mpmath.mpf(2) ** (-l - 1) * (n - l + 3)
-            if runs * n < mpmath.mpf(10) ** -45:
-                break
-            first, last = max(1, j - (n - l)), min(j, l)
-            if first > last:
-                continue
-            hyper = mpmath.binomial(l, first) * mpmath.binomial(n - l, j - first)
-            hyper /= mpmath.binomial(n, j)
-            inner = mpmath.mpf(0)
-            for jp in range(first, last + 1):
-                inner += hyper * mpmath.log(mpmath.binomial(l, jp), 2)
-                hyper *= mpmath.mpf((l - jp) * (j - jp)) / ((jp + 1) * (n - l - j + jp + 1))
-            total += runs * inner
-        return float(total)
 
 
 class TestRunLengthCoding:

@@ -52,3 +52,31 @@ def test_oracle_scope_checks_uniformity_at_n12(monkeypatch):
     monkeypatch.setattr(oracle, "_deletion_sums", one_output_miscounted)
     checks = {c.name: c.passed for c in verification.run_oracle_checks([12], [])}
     assert checks["deletion_per_length_uniformity"] is False
+
+
+def test_every_recorded_chain_failure_is_the_known_insertion_weight_defect():
+    checks = [verification.Check(*row) for row in RECORDED["run_chain_checks()"]]
+    failing = [c for c in checks if not c.passed]
+    assert len(failing) == 32
+    assert all(verification._recorded_defect("chains", c) for c in failing)
+    assert not any(verification._recorded_defect("chains", c) for c in checks if c.passed)
+
+
+@pytest.mark.parametrize(
+    "scope, name, known",
+    [
+        ("chains", "insertion_capacity_chain[n=5,pi=0.1]", True),
+        ("chains", "insertion_conditional_entropy_bound[n=3,pi=0.01]", True),
+        ("chains", "insertion_capacity_chain_exact_weight[n=2,pi=0.3]", True),
+        ("chains", "insertion_conditional_entropy_bound_exact_weight[n=2,pi=0.01]", True),
+        # the exact weight fails only at n = 2
+        ("chains", "insertion_capacity_chain_exact_weight[n=3,pi=0.3]", False),
+        ("chains", "insertion_conditional_entropy_bound_exact_weight[n=20,pi=0.1]", False),
+        ("chains", "deletion_capacity_chain[n=2,pd=0.1,pe=0.0]", False),
+        ("chains", "insertion_output_entropy_identity[n=2,pi=0.1]", False),
+        ("oracle", "insertion_capacity_chain[n=5,pi=0.1]", False),
+    ],
+)
+def test_a_failure_is_known_only_as_the_recorded_defect(scope, name, known):
+    assert verification._recorded_defect(scope, verification.Check(name, False, "")) is known
+    assert verification._recorded_defect(scope, verification.Check(name, True, "")) is False
