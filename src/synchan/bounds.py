@@ -12,7 +12,14 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .combinatorics import _single_insertion_weights, mean_pattern_log_weights
-from .numerics import _binomial_log_pmf_vec, _check_integer, awgn_expectation, binary_entropy
+from .numerics import (
+    _binomial_log_pmf_vec,
+    _check_integer,
+    _check_probability,
+    _check_sigma,
+    awgn_expectation,
+    binary_entropy,
+)
 
 __all__ = [
     "ChannelParams",
@@ -44,16 +51,13 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         for name in ("p_d", "p_e", "p_i"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+            _check_probability(getattr(self, name), name)
         # as the bounds evaluate it: the sum p_d + p_i can round to 1 where this is below 0
         if 1.0 - self.p_d - self.p_i < 0.0:
             raise ValueError(
                 f"p_d + p_i must not exceed 1, got p_d={self.p_d!r} and p_i={self.p_i!r}"
             )
-        if not 0.0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        _check_sigma(self.sigma)
 
     @classmethod
     def deletion(cls, p_d: float) -> "ChannelParams":
@@ -313,12 +317,7 @@ _BOUNDS = {
 def _check_block_length(method: str, n) -> int | None:
     """``n`` as an int where the method takes a block length; a ValueError if it is not one."""
     n_min = _BOUNDS[method].n_min
-    if n_min is None:
-        return None
-    n = _check_integer(n, f"method {method!r}")
-    if n < n_min:
-        raise ValueError(f"block length must be >= {n_min}, got {n}")
-    return n
+    return None if n_min is None else _check_integer(n, f"method {method!r}", minimum=n_min)
 
 
 def evaluate_bound(method: str, params: ChannelParams, n: int | None = None) -> BoundResult:
@@ -389,12 +388,10 @@ def optimize_block_length(
     if method not in scanned:
         reason = "has no block length" if method in _BOUNDS else "is unknown"
         raise ValueError(f"method {method!r} {reason}; choose from {scanned}")
-    n_max = _check_integer(n_max, "optimize_block_length")
     if n_min is None:
         n_min = _DEFAULT_N_MIN.get(method, 2)
-    n_min = _check_integer(n_min, "optimize_block_length")
-    if n_max < n_min:
-        raise ValueError(f"n_max must be >= {n_min}, got {n_max}")
+    n_min = _check_integer(n_min, "optimize_block_length", "block length n_min")
+    n_max = _check_integer(n_max, "optimize_block_length", "block length n_max", n_min)
     lengths = range(n_min, n_max + 1)
     point = [[params.p_d], [params.p_e], [params.p_i], [params.sigma]]
     n_star = lengths[int(_grid_rates([method], *point, lengths)[0].argmax())]

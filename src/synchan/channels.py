@@ -17,12 +17,11 @@ stream as the block call on the flattened input does.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .numerics import _check_probability
+from .numerics import _check_probability, _check_sigma
 
 __all__ = [
     "RngState",
@@ -53,11 +52,12 @@ class RngState:
         return f"RngState(seed={self.seed!r})"
 
 
-def _as_bits(bits: Sequence[int]) -> np.ndarray:
-    """A block (n,) or batch (trials, n) as uint8, every element checked to be 0 or 1."""
+def _as_bits(bits: Sequence[int], batch: bool = True) -> np.ndarray:
+    """A block (n,) or, if ``batch``, a batch (trials, n) as uint8, every element checked to be 0 or 1."""
     arr = np.asarray(bits)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"bits must be a 1-D block or a 2-D batch, got {arr.ndim}-D")
+    if arr.ndim not in ((1, 2) if batch else (1,)):
+        shapes = "a 1-D block or a 2-D batch" if batch else "a 1-D block"
+        raise ValueError(f"bits must be {shapes}, got {arr.ndim}-D")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bits must be 0 or 1")
     return arr.astype(np.uint8, copy=False)
@@ -117,8 +117,7 @@ def simulate_deletion_awgn(bits: Sequence[int], p_d: float, sigma: float, rng: R
     one Gaussian draw per survivor, both row-major.  A batch returns
     ``(symbols, lengths)``.
     """
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    sigma = _check_sigma(sigma)
     p_d = _check_probability(p_d, "p_d")
     arr = _as_bits(bits)
     survivors, lengths = _delete(np.atleast_2d(arr), p_d, rng)

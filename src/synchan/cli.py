@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .bounds import _BOUNDS, ChannelParams, _grid_rates, evaluate_bound, optimize_block_length
 from .reference_tables import CellDiff, table1_diffs, table2_diffs
-from .verification import Check, _recorded_defect, run_scopes
+from .verification import _SCOPES, Check, _recorded_defect, run_scopes
 
 _METHODS = {
     "gallager": "gallager",
@@ -34,7 +34,6 @@ _METHODS = {
     "ins-small-p": "random_insertion_small_p",
 }
 
-_SCOPES = ("properties", "oracle", "chains", "simulators")
 # the JSON layouts of ``verify`` and of ``bound``/``optimize``: bump when a key changes or goes away
 _VERIFY_SCHEMA_VERSION = 1
 _RESULT_SCHEMA_VERSION = 1
@@ -220,7 +219,8 @@ def cmd_sweep(args) -> int:
         [f"{p_d:.8g}" for p_d in pd_axis],
         [f"{p_e:.8g}" for p_e in pe_axis],
         [f"{p_i:.8g}" for p_i in pi_axis],
-        [(f"{s:.8g}", f"{-20.0 * math.log10(s):.8g}" if s > 0 else "") for s in sigma_axis],
+        # + 0.0 turns the -0.0 dB of sigma = 1 into 0.0
+        [(f"{s:.8g}", f"{-20.0 * math.log10(s) + 0.0:.8g}" if s > 0 else "") for s in sigma_axis],
         ["" if n is None else str(n) for n in n_axis],
     )
     rate_rows = zip(*(grid.ravel().tolist() for grid in rates))

@@ -37,9 +37,7 @@ def expected_run_count(l: int, n: int) -> float:
     probability, and exceeds 1 for small l.
     """
     l = _check_integer(l, "expected_run_count", "run length")
-    n = _check_integer(n, "expected_run_count")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_integer(n, "expected_run_count", minimum=1)
     if l < 1 or l > n:
         raise ValueError(f"l must lie in [1, {n}], got {l}")
     if l == n:
@@ -94,11 +92,9 @@ def mean_pattern_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
     every value computed so far over the span of j requested so far, and a
     request computes only the j it is missing.
     """
-    n = _check_integer(n, "mean_pattern_log_weights")
+    n = _check_integer(n, "mean_pattern_log_weights", minimum=1)
     lo = _check_integer(lo, "mean_pattern_log_weights", "deletion count")
     hi = _check_integer(hi, "mean_pattern_log_weights", "deletion count")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"require 1 <= lo <= hi <= {n}, got lo={lo}, hi={hi}")
     start, table = _WEIGHT_TABLES.get(n, (lo, np.empty(0)))
@@ -136,9 +132,7 @@ def _single_insertion_weights(ns: Sequence[int], exact: bool = False) -> np.ndar
     exact, over l = 1..n-1 while 2^-l (n+3) (l+2) log2(l+2) is at least
     ``_RUN_WEIGHT_FLOOR``.  Each float operation is that sum's at n alone.
     """
-    ns = [_check_integer(n, "the single-insertion weight") for n in ns]
-    if min(ns) < 1:
-        raise ValueError(f"n must be >= 1, got {min(ns)}")
+    ns = [_check_integer(n, "the single-insertion weight", minimum=1) for n in ns]
     # 2^-l (n+3) < 2^-128 from l = bit_length(n+3) + 128 on, so every cut-off lies below it
     lengths = np.arange(1, min(max(ns), (max(ns) + 3).bit_length() + 128))
     logs = np.array([math.log2(k) for k in range(2, lengths.size + 3)])

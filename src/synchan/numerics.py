@@ -7,6 +7,7 @@ convention 0 * log(0) = 0 is applied uniformly.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -20,17 +21,27 @@ __all__ = [
 ]
 
 
-def _check_probability(p: float, name: str = "p") -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
+def _check_probability(p, name: str = "p") -> float:
+    """``p`` as a float if it is a real number in [0, 1]; a ValueError naming ``name`` if not."""
+    if not (isinstance(p, numbers.Real) and 0.0 <= p <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {p!r}")
-    return p
+    return float(p)
 
 
-def _check_integer(value, owner: str, what: str = "block length") -> int:
-    """``value`` as an int if it is a Python or NumPy integer; a ValueError naming ``owner`` if not."""
+def _check_sigma(sigma, positive: bool = False) -> float:
+    """``sigma`` as a float if it is a finite real >= 0 (> 0 if ``positive``), else a ValueError."""
+    if not (isinstance(sigma, numbers.Real) and 0.0 <= sigma < math.inf and (sigma > 0.0 or not positive)):
+        domain = "positive and finite" if positive else "finite and nonnegative"
+        raise ValueError(f"sigma must be {domain}, got {sigma!r}")
+    return float(sigma)
+
+
+def _check_integer(value, owner: str, what: str = "block length", minimum: int | None = None) -> int:
+    """``value`` as an int if it is an integer (not a bool) >= ``minimum``, else a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # a flag is not a count
         raise ValueError(f"{owner} requires an integer {what}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -68,9 +79,7 @@ def _binomial_log_pmf_vec(n: int, p: float) -> np.ndarray:
 
 def block_entropy(n: int, p: float) -> float:
     """Entropy in bits of the per-block synchronization-event count Binomial(n, p)."""
-    n = _check_integer(n, "block_entropy")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_integer(n, "block_entropy", minimum=1)
     p = _check_probability(p)
     if p == 0.0 or p == 1.0:
         return 0.0
@@ -102,9 +111,7 @@ def awgn_expectation(sigma: float) -> float:
     graded away from the mode z = 0 and the kink z = -1/sigma; within 5e-14 relative
     of adaptive quadrature.  Beyond, the low-SNR expansion 1 - 1/(2 sigma^2 ln 2).
     """
-    sigma = float(sigma)
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    sigma = _check_sigma(sigma, positive=True)
     if sigma > _LOW_SNR_SIGMA:
         # the next term, 1/(4 sigma^4 ln 2), is below half an ulp of 1 here;
         # sigma * sigma may overflow to inf, which gives exactly 1.0

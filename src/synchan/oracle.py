@@ -23,9 +23,17 @@ from .bounds import (
     insertion_bound_from_weight,
     random_insertion_bound,
 )
-from .channels import RngState
+from .channels import RngState, _as_bits
 from .combinatorics import single_insertion_log_weight_exact
-from .numerics import LN2, _check_integer, awgn_expectation, binary_entropy, block_entropy
+from .numerics import (
+    LN2,
+    _check_integer,
+    _check_probability,
+    _check_sigma,
+    awgn_expectation,
+    binary_entropy,
+    block_entropy,
+)
 
 __all__ = [
     "OracleResourceError",
@@ -54,9 +62,7 @@ class OracleResourceError(RuntimeError):
 
 def _check_limit(n: int, limit: int, what: str) -> int:
     """``n`` as an int of at least 1, else a ValueError; an OracleResourceError above ``limit``."""
-    n = _check_integer(n, what)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_integer(n, what, minimum=1)
     if n > limit:
         raise OracleResourceError(f"{what} supports n <= {limit}, got {n}")
     return n
@@ -130,10 +136,6 @@ class EntropyReport:
     block_entropy: float
     bound_chain: tuple[Comparison, ...]
     arithmetic_mode: str
-
-    @property
-    def all_hold(self) -> bool:
-        return all(c.holds for c in self.bound_chain)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +319,8 @@ def exact_deletion_law(
     rational arithmetic (mass sums to exactly 1).
     """
     n = _check_limit(n, MAX_DELETION_LAW_N, "deletion law enumeration")
+    _check_probability(p_d, "p_d")
     exact = isinstance(p_d, Fraction)
-    if not 0 <= p_d <= 1:
-        raise ValueError(f"p_d must lie in [0, 1], got {p_d!r}")
     one = Fraction(1) if exact else 1.0
     denom = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
     marginal: dict[tuple[int, ...], float | Fraction] = {}
@@ -347,9 +348,9 @@ def _deletion_reports(
 ) -> dict[tuple[float, float], EntropyReport]:
     """Exact deletion-substitution reports for every (p_d, p_e) of a grid, from one survivor pass."""
     n = _check_limit(n, MAX_DELETION_ENTROPY_N, "deletion-substitution enumeration")
-    if not all(0 <= p <= 1 for p in (*p_ds, *p_es)):
-        raise ValueError("probabilities must lie in [0, 1]")
-    sums, _ = _deletion_sums(n, tuple(float(p_e) for p_e in p_es))
+    for p_d in p_ds:
+        _check_probability(p_d, "p_d")
+    sums, _ = _deletion_sums(n, tuple(_check_probability(p_e, "p_e") for p_e in p_es))
     weight = 1.0 / (1 << n)
     reports = {}
     for p_d in p_ds:
@@ -478,8 +479,7 @@ def _insertion_alpha(n: int, p_i: float) -> np.ndarray:
 def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
     """Exact H(Y), H(Y|X), and I(X;Y) for the random insertion channel."""
     n = _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
-    if not 0 <= p_i <= 1:
-        raise ValueError(f"p_i must lie in [0, 1], got {p_i!r}")
+    _check_probability(p_i, "p_i")
     log_weight_mean, packed = _insertion_tables(n)
     aggregate = _by_length(packed, n)
     alpha = _insertion_alpha(n, p_i)
@@ -511,15 +511,12 @@ def exact_insertion_conditional_law(
     bits: Sequence[int], p_i: float
 ) -> dict[tuple[int, ...], float]:
     """Exact law of the insertion-channel output for one fixed input of 0s and 1s."""
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    if not 0 <= p_i <= 1:
-        raise ValueError(f"p_i must lie in [0, 1], got {p_i!r}")
-    n = len(bits)
-    _check_limit(n, MAX_INSERTION_N, "insertion enumeration")
+    bits = _as_bits(bits, batch=False).tolist()
+    _check_probability(p_i, "p_i")
+    n = _check_limit(len(bits), MAX_INSERTION_N, "insertion enumeration")
     alpha = _insertion_alpha(n, p_i)
     law: dict[tuple[int, ...], float] = {}
-    for j, arr in enumerate(_by_length(_insertion_count_law([int(b) for b in bits]), n)):
+    for j, arr in enumerate(_by_length(_insertion_count_law(bits), n)):
         if alpha[j] == 0.0:
             continue
         # product yields every (n+j)-bit row in big-endian code order, so
@@ -548,8 +545,11 @@ class McCheck:
 
 def _mixture_neg_log2_density(y: np.ndarray, sigma: float) -> np.ndarray:
     scale = math.log2(2.0 * sigma * math.sqrt(2.0 * math.pi))
-    a = -((y - 1.0) ** 2) / (2.0 * sigma**2)
-    b = -((y + 1.0) ** 2) / (2.0 * sigma**2)
+    # in units of sigma, as sigma**2 underflows to 0 for sigma below 1e-162; a distance
+    # that overflows to inf there gives its component the density 0 it has
+    with np.errstate(over="ignore"):
+        a = -0.5 * ((y - 1.0) / sigma) ** 2
+        b = -0.5 * ((y + 1.0) / sigma) ** 2
     return scale - np.logaddexp(a, b) / LN2
 
 
@@ -562,8 +562,7 @@ def mc_awgn_entropy_check(sigma: float, samples: int = 10_000_000, seed: int = 0
     """
     if samples < 100_000:
         raise ValueError(f"need at least 1e5 samples, got {samples}")
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma!r}")
+    _check_sigma(sigma, positive=True)
     gen = RngState(seed).generator
     total = 0.0
     total_sq = 0.0

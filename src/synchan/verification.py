@@ -520,17 +520,17 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     return checks
 
 
+# each scope of ``synchan verify``, in the order it runs them: its checks at a seed and a sample scale
+_SCOPES = {
+    "properties": lambda seed, scale: run_property_checks(seed),
+    "oracle": lambda seed, scale: run_oracle_checks(),
+    "chains": lambda seed, scale: run_chain_checks(),
+    "simulators": lambda seed, scale: run_simulator_checks(seed, scale),
+}
+
+
 def run_scopes(
     scopes: Sequence[str], seed: int = 20250809, mc_scale: float = 1.0
 ) -> dict[str, list[Check]]:
-    """Run the named scopes ("properties", "oracle", "chains", "simulators")."""
-    results: dict[str, list[Check]] = {}
-    if "properties" in scopes:
-        results["properties"] = run_property_checks()
-    if "oracle" in scopes:
-        results["oracle"] = run_oracle_checks()
-    if "chains" in scopes:
-        results["chains"] = run_chain_checks()
-    if "simulators" in scopes:
-        results["simulators"] = run_simulator_checks(seed=seed, scale=mc_scale)
-    return results
+    """Run the named scopes ("properties", "oracle", "chains", "simulators"), each at ``seed``."""
+    return {scope: run(seed, mc_scale) for scope, run in _SCOPES.items() if scope in scopes}

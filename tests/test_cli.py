@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from synchan import bounds, cli, combinatorics
+from synchan import bounds, cli, combinatorics, verification
 from synchan.bounds import ChannelParams, evaluate_bound, gallager_bound
 from synchan.verification import run_simulator_checks
 
@@ -215,12 +215,12 @@ class TestSweepCommand:
                 ["--method", "gallager", "--method", "del-awgn", "--pd", "0,0.1"]
                 + ["--snr-db", "0,5", "--n", "5,7"],
                 b"p_d,p_e,p_i,sigma,snr_db,n,gallager,del-awgn\r\n"
-                b"0,0,0,1,-0,5,1,0.48594415\r\n"
-                b"0,0,0,1,-0,7,1,0.48594415\r\n"
+                b"0,0,0,1,0,5,1,0.48594415\r\n"
+                b"0,0,0,1,0,7,1,0.48594415\r\n"
                 b"0,0,0,0.56234133,5,5,1,0.85919408\r\n"
                 b"0,0,0,0.56234133,5,7,1,0.85919408\r\n"
-                b"0.1,0,0,1,-0,5,0.53100441,0.052898986\r\n"
-                b"0.1,0,0,1,-0,7,0.53100441,0.061458923\r\n"
+                b"0.1,0,0,1,0,5,0.53100441,0.052898986\r\n"
+                b"0.1,0,0,1,0,7,0.53100441,0.061458923\r\n"
                 b"0.1,0,0,0.56234133,5,5,0.53100441,0.38882392\r\n"
                 b"0.1,0,0,0.56234133,5,7,0.53100441,0.39738386\r\n",
             ),
@@ -384,6 +384,13 @@ class TestVerifyCommand:
         assert len(payload["failures"]) == 32
         assert all(name.startswith("chains:insertion_") for name in payload["failures"])
         assert payload["known_failures"] == payload["failures"]
+
+    def test_seed_reaches_the_property_scope(self, capsys, monkeypatch):
+        seeds = []
+        monkeypatch.setattr(verification, "run_property_checks", lambda seed: seeds.append(seed) or [])
+        for seed in ("3", "11"):
+            assert run_cli(capsys, "verify", "--scope", "properties", "--seed", seed)[0] == 0
+        assert seeds == [3, 11]
 
     def test_seeded_runs_are_reproducible(self, capsys):
         args = ["verify", "--scope", "simulators", "--seed", "7", "--mc-samples", "20000", "--json"]

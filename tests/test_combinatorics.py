@@ -283,7 +283,7 @@ class TestSingleInsertionLogWeight:
     @pytest.mark.parametrize("n", [0, -3])
     def test_block_length_below_one(self, n):
         for weight in (single_insertion_log_weight, single_insertion_log_weight_exact):
-            with pytest.raises(ValueError, match="n must be >= 1"):
+            with pytest.raises(ValueError, match="block length must be >= 1, got "):
                 weight(n)
 
     @pytest.mark.parametrize("n", range(2, 11))

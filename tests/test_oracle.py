@@ -264,7 +264,7 @@ class TestDeletionSubstitutionEntropies:
 
     def test_inequalities_hold(self):
         report = exact_deletion_substitution_entropies(8, 0.1, 0.05)
-        assert report.all_hold
+        assert all(c.holds for c in report.bound_chain)
         by_label = {c.label: c for c in report.bound_chain}
         assert by_label["conditional_entropy_bound"].margin > 0
         assert by_label["capacity_chain"].margin > 0
@@ -357,14 +357,14 @@ class TestDeletionKernel:
 
     @pytest.mark.parametrize("p_ds,p_es", [((0.1, 1.5), (0.0,)), ((0.1,), (0.0, -0.1))])
     def test_grid_reports_reject_invalid_probabilities(self, p_ds, p_es):
-        with pytest.raises(ValueError, match="probabilities"):
+        with pytest.raises(ValueError, match=r"p_[de] must lie in \[0, 1\], got "):
             oracle._deletion_reports(4, p_ds, p_es)
 
     @pytest.mark.parametrize("p_d,p_e", sorted(RECORDED_DELETION_N12))
     def test_largest_reports_are_unchanged(self, p_d, p_e):
         report = exact_deletion_substitution_entropies(12, p_d, p_e)
         assert entropies(report) == pytest.approx(RECORDED_DELETION_N12[p_d, p_e], rel=0, abs=1e-12)
-        assert report.all_hold
+        assert all(c.holds for c in report.bound_chain)
 
 
 class TestCachedArraysAreReadOnly:

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 import types
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,22 @@ def test_public_surface_is_pinned():
         if not attr.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PACKAGE
+
+
+# the messages of the domain checks that synchan.numerics declares once for the whole package
+_DOMAIN_MESSAGES = ("must lie in [0, 1]", "sigma must be", "must be >=")
+
+
+def test_domain_checks_are_declared_once():
+    # a module other than numerics that raises one of these messages has a copy of its check
+    copies = []
+    for path in sorted(Path(synchan.__file__).parent.glob("*.py")):
+        if path.stem == "numerics":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and any(m in ast.unparse(node) for m in _DOMAIN_MESSAGES):
+                copies.append(f"{path.name}:{node.lineno}")
+    assert copies == []
 
 
 # in a fresh interpreter: which heavy modules each stage of a run has loaded
