@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import product
 from math import comb
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "deletion_bound_small_p",
     "deletion_awgn_bound",
     "random_insertion_bound",
-    "insertion_bound_from_weight",
     "random_insertion_bound_small_p",
     "deletion_small_p_coefficients",
     "insertion_small_p_coefficients",
@@ -137,15 +136,6 @@ def _pattern_gain(n: int, p_d: float) -> float:
     return math.fsum(weights * np.exp2(lp[lo : hi + 1])) / n
 
 
-# the component each deletion-family bound adds to the shared three: its name,
-# the axis of its parameter and the function of it that -(1 - p_d) multiplies
-_DELETION_PENALTIES = {
-    "deletion": None,
-    "deletion_substitution": ("substitution_penalty", "p_e", lambda p_e: binary_entropy(p_e)),
-    "deletion_awgn": ("awgn_penalty", "sigma", lambda s: 0.0 if s == 0.0 else awgn_expectation(s)),
-}
-
-
 def _on_grid(f: Callable, axes: dict, names) -> dict[str, np.ndarray]:
     """Each entry of ``f(**point)`` over the named axes, shaped to broadcast over nonempty axes."""
     shape = [len(axis) if name in names else 1 for name, axis in axes.items()]
@@ -153,14 +143,18 @@ def _on_grid(f: Callable, axes: dict, names) -> dict[str, np.ndarray]:
     return {key: np.array([p[key] for p in points], float).reshape(shape) for key in points[0]}
 
 
-def _deletion_components(method: str, axes: dict) -> dict[str, np.ndarray]:
-    """A deletion-family bound's components, each once per value of the axes it reads."""
+def _deletion_components(axes: dict, penalty: tuple | None = None) -> dict[str, np.ndarray]:
+    """A deletion-family bound's components, each once per value of the axes it reads.
+
+    ``penalty``, if given, is the component the bound adds to the shared three: its
+    name, the axis of its parameter and the function of it that -(1 - p_d) multiplies.
+    """
     components = _on_grid(lambda p_d: {"base": 1.0 - p_d}, axes, ["p_d"])
     entropy = _on_grid(lambda p_d: {"block_entropy_penalty": -binary_entropy(p_d)}, axes, ["p_d"])
     gain = _on_grid(lambda p_d, n: {"pattern_gain": _pattern_gain(n, p_d)}, axes, ["p_d", "n"])
     components |= entropy | gain
-    if _DELETION_PENALTIES[method] is not None:
-        name, axis, factor = _DELETION_PENALTIES[method]
+    if penalty is not None:
+        name, axis, factor = penalty
         values = _on_grid(lambda **point: {name: factor(point[axis])}, axes, [axis])
         components[name] = -components["base"] * values[name]
     return components
@@ -211,14 +205,14 @@ def deletion_awgn_bound(n: int, p_d: float, sigma: float) -> BoundResult:
     return evaluate_bound("deletion_awgn", ChannelParams.deletion_awgn(p_d, sigma), n)
 
 
-def _insertion_components(axes: dict, weights: Sequence[float] | None = None) -> dict:
+def _insertion_components(axes: dict, exact: bool = False) -> dict:
     """The insertion bound's components, each once per value of the axes it reads.
 
-    ``weights``, by default the printed ones, are the single-insertion weights at each n.
-    Each float operation is the one the formula makes at that point alone.
+    The single-insertion weight at each n is the printed one, or the exact one if
+    ``exact``.  Each float operation is the one the formula makes at that point alone.
     """
     p_is, ns = [float(p) for p in axes["p_i"]], [int(n) for n in axes["n"]]
-    weights = _single_insertion_weights(ns) if weights is None else weights
+    weights = _single_insertion_weights(ns, exact)
     # (1-p)^k and p^k once per p_i and exponent k, each an n or an n - 1 (at n - 1
     # in ks is at[n] - 1); (1-p)^k as exp(k log1p(-p)): where p is below an ulp
     # of 1, 1 - p rounds to 1.0 and would drop the -n*p that cancels the +n*q
@@ -238,28 +232,12 @@ def _insertion_components(axes: dict, weights: Sequence[float] | None = None) ->
     components = {
         "base": keep_k[:, at],
         "block_entropy_penalty": -np.array([binary_entropy(v) for v in p_is])[:, None],
-        "single_insertion_gain": (np.asarray(weights) - fraction + n) * q,
+        "single_insertion_gain": (weights - fraction + n) * q,
         "multi_insertion_gain": np.where(sums < 0.0, -sums, 0.0) * log_pairs / n,
         "tail_gain": p_k[:, at - 1] * (1.0 - p) * log_n,
     }
     spread = tuple(slice(None) if name in ("p_i", "n") else None for name in axes)
     return {key: value[spread] for key, value in components.items()}
-
-
-def insertion_bound_from_weight(n: int, p_i: float, weight: float) -> BoundResult:
-    """Insertion-channel bound evaluated with an explicit single-insertion weight.
-
-    The verification suite uses this to compare the tabulated weight against
-    the enumerated one; :func:`random_insertion_bound` fixes the weight to
-    :func:`synchan.combinatorics.single_insertion_log_weight`.  A weight is
-    a mean log2 count, so one that is not finite and nonnegative is an error.
-    """
-    ChannelParams.insertion(p_i)
-    n = _check_block_length("random_insertion", n)
-    if not 0.0 <= weight < math.inf:
-        raise ValueError(f"weight must be finite and nonnegative, got {weight!r}")
-    components = _insertion_components(dict(p_i=[p_i], n=[n]), [weight])
-    return BoundResult.from_components("random_insertion", n, {k: v.item() for k, v in components.items()})
 
 
 def random_insertion_bound(n: int, p_i: float) -> BoundResult:
@@ -296,20 +274,33 @@ def random_insertion_bound_small_p(n: int, p_i: float) -> BoundResult:
 
 class _Bound(NamedTuple):
     n_min: int | None
+    scan_min: int | None
     components: Callable
 
 
-# each bound: its smallest block length (None: it takes none) and its components on a
-# grid of axes, each computed once per value of the axes it reads and shaped to broadcast
+def _awgn_penalty(sigma: float) -> float:
+    return 0.0 if sigma == 0.0 else awgn_expectation(sigma)
+
+
+# each bound: its smallest block length (None: it takes none), the block length an
+# optimize scan starts from, and its components on a grid of axes, each computed once
+# per value of the axes it reads and shaped to broadcast.  The multi-insertion penalty
+# term log2(n(n-1)/2) vanishes at n = 2, which makes the n = 2 insertion value
+# spuriously dominate every scan; the reference optima are taken over n >= 3
 _BOUNDS = {
-    "gallager": _Bound(None, partial(_on_grid, _gallager_components, names=("p_d", "p_e", "p_i"))),
-    "deletion": _Bound(1, partial(_deletion_components, "deletion")),
-    "deletion_substitution": _Bound(1, partial(_deletion_components, "deletion_substitution")),
-    "deletion_awgn": _Bound(1, partial(_deletion_components, "deletion_awgn")),
-    "random_insertion": _Bound(2, _insertion_components),
-    "deletion_small_p": _Bound(4, partial(_small_p_components, deletion_small_p_coefficients, "p_d")),
+    "gallager": _Bound(None, None, partial(_on_grid, _gallager_components, names=("p_d", "p_e", "p_i"))),
+    "deletion": _Bound(1, 2, _deletion_components),
+    "deletion_substitution": _Bound(
+        1, 2, partial(_deletion_components, penalty=("substitution_penalty", "p_e", binary_entropy))
+    ),
+    "deletion_awgn": _Bound(
+        1, 2, partial(_deletion_components, penalty=("awgn_penalty", "sigma", _awgn_penalty))
+    ),
+    "random_insertion": _Bound(2, 3, _insertion_components),
+    "random_insertion_exact": _Bound(2, 3, partial(_insertion_components, exact=True)),
+    "deletion_small_p": _Bound(4, 4, partial(_small_p_components, deletion_small_p_coefficients, "p_d")),
     "random_insertion_small_p": _Bound(
-        4, partial(_small_p_components, insertion_small_p_coefficients, "p_i")
+        4, 4, partial(_small_p_components, insertion_small_p_coefficients, "p_i")
     ),
 }
 
@@ -370,12 +361,6 @@ def _grid_rates(methods: list[str], p_d, p_e, p_i, sigma, n) -> list[np.ndarray]
     return grids
 
 
-# the multi-insertion penalty term log2(n(n-1)/2) vanishes at n = 2, which
-# makes the n = 2 insertion value spuriously dominate every scan; the
-# reference optima are taken over n >= 3
-_DEFAULT_N_MIN = {"random_insertion": 3, "deletion_small_p": 4, "random_insertion_small_p": 4}
-
-
 def optimize_block_length(
     method: str, params: ChannelParams, n_max: int, n_min: int | None = None
 ) -> tuple[int, BoundResult]:
@@ -389,7 +374,7 @@ def optimize_block_length(
         reason = "has no block length" if method in _BOUNDS else "is unknown"
         raise ValueError(f"method {method!r} {reason}; choose from {scanned}")
     if n_min is None:
-        n_min = _DEFAULT_N_MIN.get(method, 2)
+        n_min = _BOUNDS[method].scan_min
     n_min = _check_integer(n_min, "optimize_block_length", "block length n_min")
     n_max = _check_integer(n_max, "optimize_block_length", "block length n_max", n_min)
     lengths = range(n_min, n_max + 1)
@@ -398,12 +383,11 @@ def optimize_block_length(
     return n_star, evaluate_bound(method, params, n_star)
 
 
-@lru_cache(maxsize=None)
-def capacity_expansion_constant(terms: int = 200) -> float:
+def capacity_expansion_constant() -> float:
     """First-order constant of the small-p deletion capacity expansion.
 
     log2(2e) minus the geometric series sum of 2^(-l-1) l log2(l); the tail
     beyond 200 terms is far below 1e-12.
     """
-    series = math.fsum(2.0 ** (-l - 1) * l * math.log2(l) for l in range(2, terms + 1))
+    series = math.fsum(2.0 ** (-l - 1) * l * math.log2(l) for l in range(2, 201))
     return math.log2(2.0 * math.e) - series

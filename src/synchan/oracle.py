@@ -18,13 +18,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import (
-    deletion_substitution_bound,
-    insertion_bound_from_weight,
-    random_insertion_bound,
-)
+from .bounds import ChannelParams, deletion_substitution_bound, evaluate_bound, random_insertion_bound
 from .channels import RngState, _as_bits
-from .combinatorics import single_insertion_log_weight_exact
 from .numerics import (
     LN2,
     _check_integer,
@@ -86,12 +81,6 @@ class ExactDistribution:
         # one sum of numerators over the least common denominator
         common = math.lcm(*(v.denominator for v in values))
         return Fraction(sum(v.numerator * (common // v.denominator) for v in values), common)
-
-    def entropy(self) -> float:
-        """Shannon entropy in bits (computed in float even for rational laws)."""
-        return math.fsum(
-            -float(p) * math.log2(float(p)) for p in self.support.values() if p > 0
-        )
 
 
 @dataclass(frozen=True)
@@ -495,7 +484,7 @@ def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
     h_t = block_entropy(n, p_i)
     chain = [Comparison.make("output_entropy_identity", output, n * (1.0 + p_i) + h_t, "eq", 1e-9)]
     if n >= 2:
-        exact_weight = insertion_bound_from_weight(n, p_i, single_insertion_log_weight_exact(n))
+        exact_weight = evaluate_bound("random_insertion_exact", ChannelParams.insertion(p_i), n)
         for tag, bound in (("", random_insertion_bound(n, p_i)), ("_exact_weight", exact_weight)):
             ub, rate = n * (1.0 + p_i) - n * bound.rate, (mutual - h_t) / n
             chain += [
@@ -578,6 +567,9 @@ def mc_awgn_entropy_check(sigma: float, samples: int = 10_000_000, seed: int = 0
     estimate = total / samples
     variance = max(total_sq / samples - estimate**2, 0.0)
     std_error = math.sqrt(variance / samples)
+    if std_error == 0.0:
+        # every draw had the same density, so the spread of the estimate is unmeasured
+        raise ValueError(f"sigma={sigma!r} is too small to simulate: every sample has the same density")
     closed = math.log2(2.0 * sigma * math.sqrt(2.0 * math.pi * math.e)) - awgn_expectation(sigma)
-    deviation = abs(estimate - closed) / std_error if std_error > 0 else 0.0
+    deviation = abs(estimate - closed) / std_error
     return McCheck(estimate, closed, std_error, deviation, deviation <= MC_MAX_SIGMAS)

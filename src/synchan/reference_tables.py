@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bounds import _DEFAULT_N_MIN, _grid_rates
+from .bounds import _BOUNDS, _grid_rates
 
 __all__ = [
     "ABS_TOL",
@@ -139,7 +139,7 @@ def table1_diffs() -> list[CellDiff]:
 def table2_diffs() -> list[CellDiff]:
     """Regenerate every cell of the random-insertion table, optima included, from one scan grid."""
     p_is = [row[0] for row in TABLE2_LEFT + TABLE2_RIGHT]
-    lengths = range(_DEFAULT_N_MIN["random_insertion"], OPTIMIZE_N_MAX + 1)
+    lengths = range(_BOUNDS["random_insertion"].scan_min, OPTIMIZE_N_MAX + 1)
     grids = _grid_rates(["random_insertion", "gallager"], [0.0], [0.0], p_is, [0.0], lengths)
     rates, gallager = (grid.reshape(len(p_is), len(lengths)) for grid in grids)
     best = rates.argmax(axis=1)  # each row's first argmax, as in optimize_block_length

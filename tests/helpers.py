@@ -29,11 +29,11 @@ from synchan.numerics import LN2, binary_entropy
 from synchan.oracle import OracleResourceError
 
 
-def run_python(*args, timeout=60):
-    """Run the interpreter with ``args``, importing the same synchan as the tests."""
+def run_python(*args, timeout=60, cwd=None):
+    """Run the interpreter with ``args`` in ``cwd``, importing the same synchan as the tests."""
     env = dict(os.environ, PYTHONPATH=str(Path(synchan.__file__).parents[1]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd
     )
 
 

@@ -15,7 +15,6 @@ from synchan.bounds import (
     deletion_substitution_bound,
     evaluate_bound,
     gallager_bound,
-    insertion_bound_from_weight,
     insertion_small_p_coefficients,
     optimize_block_length,
     random_insertion_bound,
@@ -249,19 +248,17 @@ class TestRandomInsertionBound:
     def test_grid_equals_one_point_and_scalar_evaluations(self):
         p_is = [0.0, 5e-324, 1e-300, 6.3e-19, 1e-6, 0.1, 0.5, 1.0 - 1e-12, 1.0]
         ns = [2, 3, 4, 9, 100, 512, 1023, 4096, 10**6]
-        grid = bounds._grid_rates(["random_insertion"], [0.0], [0.0], p_is, [0.0], ns)[0]
+        methods = ["random_insertion", "random_insertion_exact"]
+        grids = bounds._grid_rates(methods, [0.0], [0.0], p_is, [0.0], ns)
         for i, p_i in enumerate(p_is):
             for j, n in enumerate(ns):
-                weight = scalar_single_insertion_sum(n, lambda l: n + 1 - l)
-                expected = scalar_insertion_rate(n, p_i, weight).hex()
-                assert grid[0, 0, i, 0, j].hex() == expected, (p_i, n)
-                assert random_insertion_bound(n, p_i).rate.hex() == expected
-                assert insertion_bound_from_weight(n, p_i, weight).rate.hex() == expected
-
-    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1e-300])
-    def test_weight_must_be_finite_and_nonnegative(self, weight):
-        with pytest.raises(ValueError, match="weight must be finite and nonnegative"):
-            insertion_bound_from_weight(5, 0.1, weight)
+                printed = scalar_single_insertion_sum(n, lambda l: n + 1 - l)
+                exact = scalar_single_insertion_sum(n, lambda l: (n - l - 1) / 2.0)
+                for method, grid, weight in zip(methods, grids, (printed, exact)):
+                    expected = scalar_insertion_rate(n, p_i, weight).hex()
+                    assert grid[0, 0, i, 0, j].hex() == expected, (method, p_i, n)
+                    assert evaluate_bound(method, ChannelParams.insertion(p_i), n).rate.hex() == expected
+                assert random_insertion_bound(n, p_i).rate.hex() == grids[0][0, 0, i, 0, j].hex()
 
     @pytest.mark.parametrize("n", [1023, 1024, 4096])
     @pytest.mark.parametrize("bound", [random_insertion_bound, random_insertion_bound_small_p])
@@ -297,6 +294,7 @@ _SCANNED_METHODS = {
     "deletion_substitution": 2,
     "deletion_awgn": 2,
     "random_insertion": 3,
+    "random_insertion_exact": 3,
     "deletion_small_p": 4,
     "random_insertion_small_p": 4,
 }
@@ -372,13 +370,6 @@ class TestOptimizeBlockLength:
 
 
 class TestCapacityExpansion:
-    def test_partial_sums_cauchy(self):
-        s100 = capacity_expansion_constant(100)
-        s200 = capacity_expansion_constant(200)
-        s500 = capacity_expansion_constant(500)
-        assert abs(s200 - s100) < 1e-12
-        assert abs(s500 - s200) < 1e-14
-
     def test_independent_summation(self):
         series = math.fsum(2.0 ** (-l - 1) * l * math.log2(l) for l in range(2, 501))
         reference = math.log2(2.0 * math.e) - series
@@ -478,7 +469,6 @@ _TAKES_N = {
     "random_insertion_bound": lambda n: random_insertion_bound(n, 0.1),
     "deletion_bound_small_p": lambda n: deletion_bound_small_p(n, 0.01),
     "random_insertion_bound_small_p": lambda n: random_insertion_bound_small_p(n, 0.01),
-    "insertion_bound_from_weight": lambda n: insertion_bound_from_weight(n, 0.1, 1.5),
     "deletion_small_p_coefficients": deletion_small_p_coefficients,
     "insertion_small_p_coefficients": insertion_small_p_coefficients,
     "optimize_block_length": lambda n: optimize_block_length("deletion", ChannelParams.deletion(0.1), n),

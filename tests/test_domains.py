@@ -42,7 +42,6 @@ VALID = {
     "j": 2,
     "lo": 1,
     "hi": 2,
-    "weight": 1.5,
     "method": "deletion",
     "params": ChannelParams.deletion(0.1),
     "samples": 100_000,  # the smallest the Monte-Carlo check takes
@@ -61,7 +60,6 @@ EDGES += [np.int64(1), 2.5, "0"]
 LARGE_N = 10**4
 FLAT_IN_N = {
     "bounds.random_insertion_bound",
-    "bounds.insertion_bound_from_weight",
     "bounds.random_insertion_bound_small_p",
     "bounds.insertion_small_p_coefficients",
     "combinatorics.expected_run_count",

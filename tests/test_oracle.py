@@ -673,6 +673,17 @@ class TestMcAwgnEntropyCheck:
         assert awgn_expectation(0.05) < 1e-15
         assert check.holds
 
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-17])
+    def test_unmeasurable_spread_is_a_value_error(self, sigma):
+        # every draw has the same density, so a standard error of 0 would pass any estimate
+        with pytest.raises(ValueError, match=f"sigma={sigma!r}"):
+            mc_awgn_entropy_check(sigma, samples=100_000)
+
+    def test_smallest_simulated_noise_holds(self):
+        check = mc_awgn_entropy_check(1e-15, samples=100_000)
+        assert check.std_error > 0
+        assert check.holds
+
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_awgn_entropy_check(1.0, samples=10)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import shutil
 import types
 from pathlib import Path
 
@@ -43,7 +44,6 @@ PUBLIC = {
         "deletion_substitution_bound",
         "evaluate_bound",
         "gallager_bound",
-        "insertion_bound_from_weight",
         "insertion_small_p_coefficients",
         "optimize_block_length",
         "random_insertion_bound",
@@ -194,3 +194,24 @@ def test_runtime_loads_neither_scipy_nor_mpmath():
     stages = json.loads(result.stdout)
     assert stages == {name: [] for name in stages}
     assert len(stages) == 6
+
+
+_FAILING_HYPOTHESIS_TEST = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert False
+"""
+
+
+def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
+    # the suite's warning filters turn warnings into errors; one raised in hypothesis's
+    # report hook would end the run in an INTERNALERROR instead of a FAILED line
+    shutil.copy(Path(__file__).parents[1] / "pyproject.toml", tmp_path)
+    (tmp_path / "test_fails.py").write_text(_FAILING_HYPOTHESIS_TEST, encoding="utf-8")
+    result = run_python("-m", "pytest", "-q", "-p", "no:cacheprovider", "test_fails.py", cwd=tmp_path)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "FAILED test_fails.py::test_fails" in result.stdout
+    assert "INTERNALERROR" not in result.stdout + result.stderr
