@@ -4,7 +4,8 @@ Every callable in the ``__all__`` of bounds, numerics, combinatorics, channels
 and oracle that takes a probability (``p``, ``p_d``, ``p_e``, ``p_i``), a
 noise scale (``sigma``) or a block length (``n``) is called with those
 parameters at the edges of their domains, and every other parameter at a
-valid value.  New surface is covered without a new test, once its other
+valid value; so is the one row of ``bounds._BOUNDS`` that no public callable
+names.  New surface is covered without a new test, once its other
 parameters have a value in ``VALID``.
 
 Pre-registered budget: ``MAX_EXAMPLES`` drawn points per callable, derandomized,
@@ -60,6 +61,7 @@ EDGES += [np.int64(1), 2.5, "0"]
 LARGE_N = 10**4
 FLAT_IN_N = {
     "bounds.random_insertion_bound",
+    "bounds.evaluate_bound('random_insertion_exact')",
     "bounds.random_insertion_bound_small_p",
     "bounds.insertion_small_p_coefficients",
     "combinatorics.expected_run_count",
@@ -91,6 +93,11 @@ def _surface() -> dict:
 
 
 SURFACE = _surface()
+# the one row of bounds._BOUNDS that no public callable names, the exact-weight insertion
+# bound, at its probability through evaluate_bound
+SURFACE["bounds.evaluate_bound('random_insertion_exact')"] = lambda p_i, n: bounds.evaluate_bound(
+    "random_insertion_exact", ChannelParams.insertion(p_i), n
+)
 
 
 def _edges(name: str, parameter: str) -> list:
