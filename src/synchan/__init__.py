@@ -1,5 +1,5 @@
-"""Capacity lower bounds, simulators, and exact oracles for binary channels
-with synchronization errors (deletions, substitutions, AWGN, random insertions)."""
+"""Capacity lower bounds for binary channels with synchronization errors.  The simulators
+(``synchan.channels``) and oracles (``synchan.oracle``) load only when imported by name."""
 
 from .bounds import (
     BoundResult,
@@ -15,14 +15,6 @@ from .bounds import (
     random_insertion_bound,
     random_insertion_bound_small_p,
 )
-from .channels import (
-    RngState,
-    simulate_bsc,
-    simulate_deletion,
-    simulate_deletion_awgn,
-    simulate_deletion_substitution,
-    simulate_gallager_insertion,
-)
 from .combinatorics import (
     expected_run_count,
     mean_pattern_log_weight,
@@ -33,14 +25,6 @@ from .numerics import (
     awgn_expectation,
     binary_entropy,
     block_entropy,
-)
-from .oracle import (
-    EntropyReport,
-    ExactDistribution,
-    exact_deletion_law,
-    exact_deletion_substitution_entropies,
-    exact_insertion_entropies,
-    mc_awgn_entropy_check,
 )
 
 __version__ = "0.1.0"

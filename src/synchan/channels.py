@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .numerics import _check_probability, _check_sigma
+from .numerics import _check_integer, _check_probability, _check_sigma
 
 __all__ = [
     "RngState",
@@ -37,6 +37,7 @@ class RngState:
     """A seeded PCG64 stream with an explicit split rule for independence."""
 
     def __init__(self, seed: int | None = None, _sequence: np.random.SeedSequence | None = None):
+        seed = seed if seed is None else _check_integer(seed, "RngState", what="seed", minimum=0)
         self._sequence = _sequence if _sequence is not None else np.random.SeedSequence(seed)
         self.generator = np.random.default_rng(self._sequence)
 

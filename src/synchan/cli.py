@@ -21,8 +21,8 @@ from itertools import product
 from typing import Sequence
 
 from .bounds import _BOUNDS, ChannelParams, _grid_rates, evaluate_bound, optimize_block_length
+from .numerics import _check_integer
 from .reference_tables import CellDiff, table1_diffs, table2_diffs
-from .verification import _SCOPES, Check, _recorded_defect, run_scopes
 
 _METHODS = {
     "gallager": "gallager",
@@ -33,6 +33,9 @@ _METHODS = {
     "del-small-p": "deletion_small_p",
     "ins-small-p": "random_insertion_small_p",
 }
+
+# the scopes of synchan.verification, in the order they run; named here so that only verify loads it
+_SCOPES = ("properties", "oracle", "chains", "simulators")
 
 # the JSON layouts of ``verify`` and of ``bound``/``optimize``: bump when a key changes or goes away
 _VERIFY_SCHEMA_VERSION = 1
@@ -245,8 +248,11 @@ def cmd_verify(args) -> int:
         scopes = list(_SCOPES)
     if not 0.0 < args.mc_samples < math.inf:
         raise ValueError(f"--mc-samples must be positive and finite, got {args.mc_samples!r}")
+    _check_integer(args.seed, "verify", what="seed", minimum=0)
+    from .verification import _recorded_defect, run_scopes
+
     scale = args.mc_samples / 1_000_000.0
-    results: dict[str, list[Check]] = {}
+    results = {}
     wall_s: dict[str, float] = {}
     for scope in (s for s in _SCOPES if s in scopes):
         began = time.perf_counter()
@@ -254,7 +260,7 @@ def cmd_verify(args) -> int:
         wall_s[scope] = time.perf_counter() - began
     failures, known = [], []  # each failing check as scope:name, and those of the recorded defect
     for scope in scopes:
-        checks: list[Check] = results.get(scope, [])
+        checks = results.get(scope, [])
         if not args.json:
             print(f"[{scope}]")
             for check in checks:
@@ -369,7 +375,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # a bad argument, or output that cannot be written (--csv)
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -92,7 +92,16 @@ def block_entropy(n: int, p: float) -> float:
 # past this sigma the quadrature drifts by a few ulps and sigma**2 overflows
 # near 1.3e154, while the low-SNR expansion is accurate to an ulp
 _LOW_SNR_SIGMA = 1e4
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+# the positive nodes (row 0) and their weights (row 1) of the 20-point Gauss-Legendre rule, as
+# np.polynomial.legendre.leggauss(20) gives them; its output is exactly symmetric, so mirroring
+# them rebuilds it bit for bit without importing numpy.polynomial on every command
+_GL_HALF = np.array([
+    [0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271, 0.636053680726515,
+     0.7463319064601508, 0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095],
+    [0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769, 0.1181945319615186,
+     0.1019301198172407, 0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893],
+])
+_GL_NODES, _GL_WEIGHTS = np.concatenate((_GL_HALF[:, ::-1] * [[-1.0], [1.0]], _GL_HALF), axis=1)
 # panel edges in units of min(1, sigma) on both sides of a break point, widths 2^-3..2^11
 _PANEL_OFFSETS = np.outer([-1.0, 1.0], np.concatenate(([0.0], np.cumsum(2.0 ** np.arange(-3, 12))))).ravel()
 

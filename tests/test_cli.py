@@ -158,6 +158,13 @@ class TestTableCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
         assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
 
+    def test_unwritable_csv_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t1.csv"
+        code, _, err = run_cli(capsys, "table", "I", "--csv", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert not path.parent.exists()
+
     def test_table1_flags_the_known_misprint(self, capsys):
         code, out, _ = run_cli(capsys, "table", "I")
         assert code == 1
@@ -267,6 +274,15 @@ class TestSweepCommand:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_csv_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "sweep.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--method", "deletion", "--pd", "0.1", "--n", "10", "--csv", str(path),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert not path.parent.exists()
 
     def test_non_integer_block_length(self, capsys):
         code, out, err = run_cli(
@@ -442,11 +458,23 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
     def test_invalid_sample_budget_rejected_before_any_scope(self, capsys, monkeypatch, budget):
         ran = []
-        monkeypatch.setattr(cli, "run_scopes", lambda *args, **kwargs: ran.append(args) or {})
+        monkeypatch.setattr(verification, "run_scopes", lambda *args, **kwargs: ran.append(args) or {})
         code, out, err = run_cli(capsys, "verify", "--mc-samples", budget)
         assert code == 2
         assert err.startswith("error:") and "--mc-samples" in err
         assert out == "" and ran == []
+
+    @pytest.mark.parametrize("scope", ["all", "oracle"])
+    def test_negative_seed_rejected_before_any_scope(self, capsys, monkeypatch, scope):
+        # the oracle scope draws nothing, yet a seed out of the domain is still an error
+        ran = []
+        monkeypatch.setattr(verification, "run_scopes", lambda *args, **kwargs: ran.append(args) or {})
+        code, out, err = run_cli(capsys, "verify", "--scope", scope, "--seed", "-1")
+        assert (code, out, err, ran) == (2, "", "error: seed must be >= 0, got -1\n", [])
+
+    def test_scope_choices_are_the_verification_scopes(self):
+        # cli names the scopes itself, so that no command but verify loads synchan.verification
+        assert list(cli._SCOPES) == list(verification._SCOPES)
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1e-6])
     def test_simulator_checks_reject_invalid_scale(self, scale):

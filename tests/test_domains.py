@@ -2,7 +2,7 @@
 
 Every callable in the ``__all__`` of bounds, numerics, combinatorics, channels
 and oracle that takes a probability (``p``, ``p_d``, ``p_e``, ``p_i``), a
-noise scale (``sigma``) or a block length (``n``) is called with those
+noise scale (``sigma``), a block length (``n``) or a seed is called with those
 parameters at the edges of their domains, and every other parameter at a
 valid value; so is the one row of ``bounds._BOUNDS`` that no public callable
 names.  New surface is covered without a new test, once its other
@@ -26,7 +26,7 @@ from synchan.bounds import ChannelParams
 from synchan.channels import RngState
 from synchan.oracle import OracleResourceError
 
-DOMAIN_PARAMETERS = ("p", "p_d", "p_e", "p_i", "sigma", "n")
+DOMAIN_PARAMETERS = ("p", "p_d", "p_e", "p_i", "sigma", "n", "seed")
 MAX_EXAMPLES = 40
 
 # a valid value of each parameter the callables take that has no default, or one not to use; every
@@ -101,6 +101,8 @@ SURFACE["bounds.evaluate_bound('random_insertion_exact')"] = lambda p_i, n: boun
 
 
 def _edges(name: str, parameter: str) -> list:
+    if parameter == "seed":
+        return EDGES + [-1, 2**128]  # a seed is any integer >= 0
     if parameter != "n":
         return EDGES
     return EDGES + [LARGE_N] + ([2**62] if name in FLAT_IN_N else [])
@@ -108,7 +110,7 @@ def _edges(name: str, parameter: str) -> list:
 
 def _finite(value) -> bool:
     """Whether every number in ``value``, a result of the public surface, is finite."""
-    if value is None or isinstance(value, (bool, np.bool_, int, np.integer, str, Fraction)):
+    if value is None or isinstance(value, (bool, np.bool_, int, np.integer, str, Fraction, RngState)):
         return True
     if isinstance(value, (float, np.floating)):
         return math.isfinite(value)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from synchan import numerics
 from synchan.numerics import (
     _binomial_log_pmf_vec,
     _log2_binomial,
@@ -119,6 +120,12 @@ class TestBlockEntropy:
 
 
 class TestAwgnExpectation:
+    def test_rule_literals_are_leggauss_bit_for_bit(self):
+        # the literals stand in for np.polynomial.legendre.leggauss(20), which no command imports
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert numerics._GL_NODES.tobytes() == nodes.tobytes()
+        assert numerics._GL_WEIGHTS.tobytes() == weights.tobytes()
+
     def test_noiseless_limit(self):
         assert awgn_expectation(0.05) < 1e-12
 

@@ -104,9 +104,6 @@ PUBLIC = {
 PACKAGE = [
     "BoundResult",
     "ChannelParams",
-    "EntropyReport",
-    "ExactDistribution",
-    "RngState",
     "awgn_expectation",
     "binary_entropy",
     "block_entropy",
@@ -116,21 +113,12 @@ PACKAGE = [
     "deletion_bound_small_p",
     "deletion_substitution_bound",
     "evaluate_bound",
-    "exact_deletion_law",
-    "exact_deletion_substitution_entropies",
-    "exact_insertion_entropies",
     "expected_run_count",
     "gallager_bound",
-    "mc_awgn_entropy_check",
     "mean_pattern_log_weight",
     "optimize_block_length",
     "random_insertion_bound",
     "random_insertion_bound_small_p",
-    "simulate_bsc",
-    "simulate_deletion",
-    "simulate_deletion_awgn",
-    "simulate_deletion_substitution",
-    "simulate_gallager_insertion",
     "single_insertion_log_weight",
     "single_insertion_log_weight_exact",
 ]
@@ -163,32 +151,42 @@ def test_domain_checks_are_declared_once():
     assert copies == []
 
 
-# in a fresh interpreter: which heavy modules each stage of a run has loaded
+# in a fresh interpreter: which of the modules no command but verify needs, and which heavy
+# modules, each stage of a run has loaded
 _LOADED_MODULES_SCRIPT = """
 import contextlib, io, json, sys
 
-def loaded(prefix):
-    return sorted(name for name in sys.modules if name.startswith(prefix))
+VERIFY_ONLY = ("synchan.oracle", "synchan.channels", "synchan.verification", "numpy.polynomial", "fractions")
+
+
+def loaded(*packages):
+    return sorted(name for name in sys.modules if any(name == p or name.startswith(p + ".") for p in packages))
+
 
 import synchan.cli
-stages = {"mpmath after import synchan.cli": loaded("mpmath")}
-import synchan, synchan.verification
-stages["scipy after import"] = loaded("scipy")
+stages = {"import synchan.cli": loaded("scipy", "mpmath", *VERIFY_ONLY)}
+commands = {
+    "bound": (["bound", "--method", "del-awgn", "--n", "100", "--pd", "0.1", "--sigma", "0.8"], 0),
+    "sweep": (["sweep", "--method", "del-sub", "--method", "insertion", "--pd", "0.1", "--pe", "0,0.01",
+               "--pi", "0.05", "--n", "10"], 0),
+    "table I": (["table", "I"], 1),  # the source table's known misprint
+    "optimize": (["optimize", "--method", "del-sub", "--pd", "0.1", "--pe", "0.01", "--n-max", "20"], 0),
+}
 with contextlib.redirect_stdout(io.StringIO()):
-    assert synchan.cli.main(["bound", "--method", "del-awgn", "--n", "100", "--pd", "0.1", "--sigma", "0.8"]) == 0
-    stages["scipy after del-awgn bound"] = loaded("scipy")
-    synchan.cli.main(["table", "I"])  # exits 1: the source table's known misprint
-    stages["scipy after table I"] = loaded("scipy")
+    for stage, (argv, code) in commands.items():
+        assert synchan.cli.main(argv) == code, stage
+        stages[stage] = loaded("scipy", "mpmath", *VERIFY_ONLY)
+import synchan.verification
 synchan.verification.run_simulator_checks(scale=0.01)
-stages["scipy after simulator checks"] = loaded("scipy")
-stages["mpmath after simulator checks"] = loaded("mpmath")
+stages["simulator checks"] = loaded("scipy", "mpmath")
 print(json.dumps(stages))
 """
 
 
 def test_runtime_loads_neither_scipy_nor_mpmath():
-    # the runtime, chi-square checks included, computes with NumPy alone; either
-    # module would cost its import time on every command that loaded it
+    # the runtime, chi-square checks included, computes with NumPy alone, and only verify loads
+    # the oracle, the simulators and their checks: each module loaded costs its compile and import
+    # time on every command that loads it
     result = run_python("-c", _LOADED_MODULES_SCRIPT)
     assert result.returncode == 0, result.stderr
     stages = json.loads(result.stdout)
