@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from itertools import product
 from typing import Sequence
 
@@ -112,22 +113,32 @@ def _format_cell(diff: CellDiff) -> str:
     return value
 
 
-def _write_diff_csv(path: str, diffs: list[CellDiff]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+def _open_csv(path: str | None, default=None):
+    """The ``--csv`` file opened for writing, or ``default`` without a path; open it before any work."""
+    return open(path, "w", newline="", encoding="utf-8") if path else nullcontext(default)
+
+
+def _write_diff_csv(fh, diffs: list[CellDiff]) -> None:
+    writer = csv.writer(fh)
+    writer.writerow(["table", "p_first", "p_second", "column", "reference", "computed", "kind", "within"])
+    for d in diffs:
         writer.writerow(
-            ["table", "p_first", "p_second", "column", "reference", "computed", "kind", "within"]
+            [d.table, f"{d.row[0]:g}", f"{d.row[1]:g}", d.column]
+            + [f"{d.expected:.8g}", f"{d.computed:.8g}", d.kind, int(d.within)]
         )
-        for d in diffs:
-            writer.writerow(
-                [d.table, f"{d.row[0]:g}", f"{d.row[1]:g}", d.column]
-                + [f"{d.expected:.8g}", f"{d.computed:.8g}", d.kind, int(d.within)]
-            )
 
 
 def cmd_table(args) -> int:
-    which = args.which.upper()
-    diffs = table1_diffs() if which in ("I", "1") else table2_diffs()
+    with _open_csv(args.csv) as out:
+        diffs = table1_diffs() if args.which.upper() in ("I", "1") else table2_diffs()
+        bad = _print_table(diffs)
+        if out:
+            _write_diff_csv(out, diffs)
+    return 1 if bad else 0
+
+
+def _print_table(diffs: list[CellDiff]) -> list[CellDiff]:
+    """Print the regenerated cells row by row, then those beyond tolerance; return the latter."""
     by_row: dict[tuple[str, tuple[float, float]], list[CellDiff]] = {}
     for d in diffs:
         by_row.setdefault((d.table, d.row), []).append(d)
@@ -150,9 +161,7 @@ def cmd_table(args) -> int:
             f"  {d.table} row {d.row} {d.column}: computed {d.computed:.6g}"
             f" vs reference {d.expected:.6g}{note}"
         )
-    if args.csv:
-        _write_diff_csv(args.csv, diffs)
-    return 1 if bad else 0
+    return bad
 
 
 def _number(text: str, integer: bool) -> float:
@@ -217,27 +226,23 @@ def cmd_sweep(args) -> int:
     needs_n = [m for m in internal if m != "gallager"]
     if needs_n and n_axis == [None]:
         raise ValueError(f"--n is required for methods {needs_n}")
-    rates = _grid_rates(internal, pd_axis, pe_axis, pi_axis, sigma_axis, n_axis)
-    columns = (
-        [f"{p_d:.8g}" for p_d in pd_axis],
-        [f"{p_e:.8g}" for p_e in pe_axis],
-        [f"{p_i:.8g}" for p_i in pi_axis],
-        # + 0.0 turns the -0.0 dB of sigma = 1 into 0.0
-        [(f"{s:.8g}", f"{-20.0 * math.log10(s) + 0.0:.8g}" if s > 0 else "") for s in sigma_axis],
-        ["" if n is None else str(n) for n in n_axis],
-    )
-    rate_rows = zip(*(grid.ravel().tolist() for grid in rates))
-    out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
-    try:
+    with _open_csv(args.csv, sys.stdout) as out:
+        rates = _grid_rates(internal, pd_axis, pe_axis, pi_axis, sigma_axis, n_axis)
+        columns = (
+            [f"{p_d:.8g}" for p_d in pd_axis],
+            [f"{p_e:.8g}" for p_e in pe_axis],
+            [f"{p_i:.8g}" for p_i in pi_axis],
+            # + 0.0 turns the -0.0 dB of sigma = 1 into 0.0
+            [(f"{s:.8g}", f"{-20.0 * math.log10(s) + 0.0:.8g}" if s > 0 else "") for s in sigma_axis],
+            ["" if n is None else str(n) for n in n_axis],
+        )
+        rate_rows = zip(*(grid.ravel().tolist() for grid in rates))
         writer = csv.writer(out)
         writer.writerow(["p_d", "p_e", "p_i", "sigma", "snr_db", "n"] + methods)
         writer.writerows(
             [p_d, p_e, p_i, *sigma, n] + [f"{r:.8g}" for r in row]
             for (p_d, p_e, p_i, sigma, n), row in zip(product(*columns), rate_rows)
         )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import compress, product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +31,8 @@ from .numerics import (
 
 __all__ = [
     "OracleResourceError",
-    "ExactDistribution",
     "Comparison",
     "EntropyReport",
-    "exact_deletion_law",
     "deletion_output_multiplicities",
     "insertion_output_multiplicities",
     "exact_deletion_substitution_entropies",
@@ -44,7 +41,7 @@ __all__ = [
     "mc_awgn_entropy_check",
 ]
 
-MAX_DELETION_LAW_N = 14
+MAX_DELETION_COUNT_N = 14
 MAX_DELETION_ENTROPY_N = 12
 MAX_INSERTION_N = 9
 # a Monte-Carlo check holds within this many standard errors of its closed form
@@ -61,26 +58,6 @@ def _check_limit(n: int, limit: int, what: str) -> int:
     if n > limit:
         raise OracleResourceError(f"{what} supports n <= {limit}, got {n}")
     return n
-
-
-@dataclass(frozen=True)
-class ExactDistribution:
-    """A finite probability law over binary output sequences.
-
-    ``support`` maps bit tuples to probabilities (floats, or Fractions in
-    rational mode, where :meth:`mass` is exactly 1).
-    """
-
-    support: Mapping[tuple[int, ...], float | Fraction]
-    exact: bool
-
-    def mass(self):
-        values = self.support.values()
-        if not self.exact:
-            return math.fsum(values)
-        # one sum of numerators over the least common denominator
-        common = math.lcm(*(v.denominator for v in values))
-        return Fraction(sum(v.numerator * (common // v.denominator) for v in values), common)
 
 
 @dataclass(frozen=True)
@@ -251,8 +228,10 @@ def _deletion_sums(n: int, p_es: tuple[float, ...]) -> tuple[np.ndarray, tuple[n
     weighted by its size, and T is the BSC of the integer aggregate.  Each
     chunk of survivor counts is built once and pushed through the BSC once
     per p_e, in the same order as for a single p_e, so every row equals the
-    one-p_e result bit for bit.  The integer aggregates, one per m, are
-    :func:`deletion_output_multiplicities`.
+    one-p_e result bit for bit.  At p_e = 0 the BSC is the identity, so a
+    row's sum of S log2 S adds a table of c log2 c read at its integer
+    counts, and its sum of S is their integer sum.  The integer aggregates,
+    one per m, are :func:`deletion_output_multiplicities`.
 
     Column n, with no deletions, is filled in closed form: each input's one
     keep set makes S the product law BSC(e_x), whose sum of S log2 S is
@@ -263,6 +242,9 @@ def _deletion_sums(n: int, p_es: tuple[float, ...]) -> tuple[np.ndarray, tuple[n
     sums = np.zeros((len(p_es), 4, n + 1))
     for row, p_e in zip(sums, p_es):
         row[:, n] = -(1 << n) * n * binary_entropy(p_e), 1 << n, 0.0, 1 << n
+    # c log2 c for every count c an input can give one survivor, read at p_e = 0
+    c = np.arange(math.comb(n, n // 2) + 1, dtype=np.float64)
+    c_log_c = c * np.log2(c, out=np.zeros_like(c), where=c > 0)
     aggregates = []
     for m in range(n + 1):
         grid = p_es if m < n else ()
@@ -270,8 +252,9 @@ def _deletion_sums(n: int, p_es: tuple[float, ...]) -> tuple[np.ndarray, tuple[n
         weighted = np.zeros(1 << m, dtype=np.int64)
         for rows, counts in _survivor_counts(n, m, inputs):
             for i, p_e in enumerate(grid):
-                law = _bsc(counts, p_e)
-                slog[i].extend((weight[rows] * _slog(law, axis=1)).tolist())
+                law = _bsc(counts, p_e) if p_e else counts
+                row_slog = _slog(law, axis=1) if p_e else c_log_c[counts].sum(axis=1)
+                slog[i].extend((weight[rows] * row_slog).tolist())
                 mass[i].extend((weight[rows] * law.sum(axis=1)).tolist())
             weighted += weight[rows] @ counts
         aggregates.append(_orbit_aggregate(weighted))
@@ -291,45 +274,8 @@ def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
     Per-length uniformity of the i.u.d. output law is equivalent to every
     element of entry m equalling 2^(n-m) * C(n, n-m).
     """
-    n = _check_limit(n, MAX_DELETION_LAW_N, "deletion enumeration")
+    n = _check_limit(n, MAX_DELETION_COUNT_N, "deletion enumeration")
     return _deletion_sums(n, ())[1]
-
-
-def _bits_le(code: int, m: int) -> tuple[int, ...]:
-    return tuple((int(code) >> k) & 1 for k in range(m))
-
-
-def exact_deletion_law(
-    n: int, p_d: float | Fraction
-) -> tuple[ExactDistribution, dict[tuple[int, ...], ExactDistribution]]:
-    """Exact i.u.d. output law of the deletion channel, plus per-input conditionals.
-
-    Passing ``p_d`` as a :class:`fractions.Fraction` switches to exact
-    rational arithmetic (mass sums to exactly 1).
-    """
-    n = _check_limit(n, MAX_DELETION_LAW_N, "deletion law enumeration")
-    _check_probability(p_d, "p_d")
-    exact = isinstance(p_d, Fraction)
-    one = Fraction(1) if exact else 1.0
-    denom = Fraction(1, 1 << n) if exact else 1.0 / (1 << n)
-    marginal: dict[tuple[int, ...], float | Fraction] = {}
-    supports: list[dict] = [{} for _ in range(1 << n)]
-    for m, agg in enumerate(deletion_output_multiplicities(n)):
-        factor = p_d ** (n - m) * (one - p_d) ** m
-        if factor == 0:
-            continue
-        keys = [_bits_le(code, m) for code in range(1 << m)]
-        values = agg.tolist()
-        scaled = {c: c * (factor * denom) for c in set(values)}
-        marginal.update((keys[code], scaled[c]) for code, c in enumerate(values) if c)
-        for rows, counts in _survivor_counts(n, m, np.arange(1 << n)):
-            index, codes = np.nonzero(counts)
-            values = counts[index, codes].tolist()
-            scaled = {c: c * factor for c in set(values)}
-            for x, code, c in zip((index + rows.start).tolist(), codes.tolist(), values):
-                supports[x][keys[code]] = scaled[c]
-    conditionals = {_bits_le(x, n): ExactDistribution(s, exact) for x, s in enumerate(supports)}
-    return ExactDistribution(marginal, exact), conditionals
 
 
 def _deletion_reports(
@@ -389,15 +335,20 @@ def _insertion_count_law(bits: Sequence[int]) -> np.ndarray:
     conditional law for every p at once.  A symbol 2 stands for both bit
     values, summing the two inputs' counts.  Codes are big-endian, so
     appending bits multiplies the packed index: each symbol repeats the law
-    four times (a replacement by any bit pair) and adds it into the pairs
-    below (the symbol kept).
+    four times (a replacement by any bit pair) and adds it into every other
+    entry below, from the kept bit on (the symbol kept).
     """
     law = np.array([0, 1], dtype=np.int64)  # the empty output, at index 1 << 0
-    for keep_weights in np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)[list(bits)]:
-        new = np.repeat(law * keep_weights.sum(), 4)
-        new[: 2 * law.size].reshape(-1, 2)[:, :] += law[:, None] * keep_weights
+    for symbol in bits:
+        new = np.repeat(2 * law if symbol == 2 else law, 4)
+        for kept in (0, 1) if symbol == 2 else (symbol,):
+            new[kept : 2 * law.size : 2] += law
         law = new
     return law
+
+
+def _bits_le(code: int, m: int) -> tuple[int, ...]:
+    return tuple((int(code) >> k) & 1 for k in range(m))
 
 
 def _by_length(law: np.ndarray, n: int) -> tuple[np.ndarray, ...]:

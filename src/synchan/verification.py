@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
@@ -52,6 +51,8 @@ NOISE_SIGMA = 0.7
 AWGN_MC_SAMPLES = 1_000_000
 # the property checks enumerate block lengths 1..PROPERTY_N_MAX
 PROPERTY_N_MAX = 12
+# the survivor row sums are checked over every input of lengths 1..SURVIVOR_N_MAX
+SURVIVOR_N_MAX = 8
 # the looped checks feed their trials in chunks of at most this many input bits
 _CHUNK_ELEMENTS = 1 << 16
 
@@ -144,15 +145,19 @@ def run_property_checks(seed: int = 7) -> list[Check]:
         )
     )
 
-    marginal, conditionals = oracle.exact_deletion_law(8, Fraction(1, 10))
-    masses_exact = marginal.mass() == 1 and all(
-        law.mass() == 1 for law in conditionals.values()
+    # rows that count each of an input's C(n, m) size-m keep sets once give every conditional
+    # law, and the marginal, the mass sum_m C(n, m) p_d^(n-m) (1-p_d)^m = 1 at any p_d
+    rows_exact = all(
+        np.all(counts.sum(axis=1) == comb(n, m))
+        for n in range(1, SURVIVOR_N_MAX + 1)
+        for m in range(n + 1)
+        for _, counts in oracle._survivor_counts(n, m, np.arange(1 << n))
     )
     checks.append(
         _check(
-            "deletion_law_normalization_rational",
-            masses_exact,
-            "marginal and all conditional masses equal 1 exactly (n=8, p=1/10)",
+            "deletion_survivor_row_sums",
+            rows_exact,
+            f"every input's survivor counts of length m sum to C(n,m) exactly (n <= {SURVIVOR_N_MAX})",
         )
     )
 

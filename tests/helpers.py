@@ -4,8 +4,10 @@ The brute-force helpers are deliberately written in the most direct way
 possible (string enumeration, integer counting, mpmath sums) so they stay
 independent of the library code they check.  The reference code at the end
 (run-length coding, per-run deletion patterns, the deletion-AWGN pattern
-mixture and the small-p deletion capacity expansion) is what only the tests
-call.  ``run_python`` runs code in a fresh interpreter.
+mixture, the small-p deletion capacity expansion, and the earlier float and
+reshape forms of two oracle kernels, which the kernels must match bit for
+bit) is what only the tests call.  ``run_python`` runs code in a fresh
+interpreter.
 """
 
 import functools
@@ -22,6 +24,7 @@ import mpmath
 import numpy as np
 
 import synchan
+from synchan import oracle
 from synchan.bounds import capacity_expansion_constant
 from synchan.channels import RngState
 from synchan.combinatorics import _RUN_WEIGHT_FLOOR, _deletion_patterns
@@ -367,3 +370,38 @@ def capacity_expansion_deletion(p_d):
     if not 0.0 < p_d < 1.0:
         raise ValueError(f"p_d must lie in (0, 1), got {p_d!r}")
     return 1.0 + p_d * math.log2(p_d) - capacity_expansion_constant() * p_d
+
+
+def float_deletion_sums(n):
+    """The oracle's (1, 4, n + 1) deletion sums at p_e = 0, from float laws.
+
+    Each chunk of survivor counts becomes a float law whose per-input sums of
+    p log2 p and p are weighted by orbit size and fsummed, as the kernel did
+    before it read c log2 c from a table of the integer counts.
+    """
+
+    def slog(law, axis=None):
+        return (law * np.log2(law, out=np.zeros_like(law), where=law > 0)).sum(axis=axis)
+
+    inputs, weight = oracle._orbit_representatives(n)
+    sums = np.zeros((1, 4, n + 1))
+    sums[0, :, n] = -(1 << n) * n * binary_entropy(0.0), 1 << n, 0.0, 1 << n
+    for m, aggregate in enumerate(oracle.deletion_output_multiplicities(n)[:n]):
+        slogs, masses = [], []
+        for rows, counts in oracle._survivor_counts(n, m, inputs):
+            law = counts.astype(np.float64)
+            slogs.extend((weight[rows] * slog(law, axis=1)).tolist())
+            masses.extend((weight[rows] * law.sum(axis=1)).tolist())
+        total = aggregate.astype(np.float64)
+        sums[0, :, m] = math.fsum(slogs), math.fsum(masses), slog(total), math.fsum(total)
+    return sums
+
+
+def reshaped_insertion_count_law(bits):
+    """The packed insertion count law of ``bits``, added in through a (size, 2) reshape per symbol."""
+    law = np.array([0, 1], dtype=np.int64)
+    for keep_weights in np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int64)[list(bits)]:
+        new = np.repeat(law * keep_weights.sum(), 4)
+        new[: 2 * law.size].reshape(-1, 2)[:, :] += law[:, None] * keep_weights
+        law = new
+    return law

@@ -29,7 +29,6 @@ from synchan.combinatorics import (
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
     deletion_output_multiplicities,
-    exact_deletion_law,
     exact_deletion_substitution_entropies,
     exact_insertion_entropies,
     insertion_output_multiplicities,
@@ -479,7 +478,6 @@ _TAKES_N = {
     "single_insertion_log_weight_exact": single_insertion_log_weight_exact,
     "deletion_output_multiplicities": deletion_output_multiplicities,
     "insertion_output_multiplicities": insertion_output_multiplicities,
-    "exact_deletion_law": lambda n: exact_deletion_law(n, 0.1),
     "exact_deletion_substitution_entropies": lambda n: exact_deletion_substitution_entropies(n, 0.1, 0.02),
     "exact_insertion_entropies": lambda n: exact_insertion_entropies(n, 0.1),
 } | {

@@ -158,10 +158,12 @@ class TestTableCommand:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha256
         assert hashlib.sha256(path.read_bytes()).hexdigest() == csv_sha256
 
-    def test_unwritable_csv_is_a_one_line_error(self, capsys, tmp_path):
+    def test_unwritable_csv_is_a_one_line_error(self, capsys, tmp_path, monkeypatch):
+        # the path is opened first: nothing is computed or printed before the error
+        monkeypatch.setattr(cli, "table1_diffs", lambda: pytest.fail("table computed"))
         path = tmp_path / "missing" / "t1.csv"
-        code, _, err = run_cli(capsys, "table", "I", "--csv", str(path))
-        assert code == 2
+        code, out, err = run_cli(capsys, "table", "I", "--csv", str(path))
+        assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
         assert not path.parent.exists()
 
@@ -275,7 +277,8 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_unwritable_csv_is_a_one_line_error(self, capsys, tmp_path):
+    def test_unwritable_csv_is_a_one_line_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_grid_rates", lambda *args: pytest.fail("grid computed"))
         path = tmp_path / "missing" / "sweep.csv"
         code, out, err = run_cli(
             capsys, "sweep", "--method", "deletion", "--pd", "0.1", "--n", "10", "--csv", str(path),

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from math import comb
@@ -14,17 +13,17 @@ from helpers import (
     deletion_awgn_pattern_entropy_bound,
     encode,
     exact_block_entropy,
+    float_deletion_sums,
     mc_deletion_awgn_pattern_entropy,
+    reshaped_insertion_count_law,
     subsequence_weight,
 )
 
 from synchan import oracle
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
-    ExactDistribution,
     OracleResourceError,
     deletion_output_multiplicities,
-    exact_deletion_law,
     exact_deletion_substitution_entropies,
     exact_insertion_conditional_law,
     exact_insertion_entropies,
@@ -158,70 +157,43 @@ def entropies(report):
     return report.output_entropy, report.conditional_entropy, report.mutual_information
 
 
-class TestExactDeletionLaw:
-    def test_single_bit_law(self):
-        marginal, conditionals = exact_deletion_law(1, 0.3)
-        assert marginal.support[()] == pytest.approx(0.3, abs=1e-15)
-        assert marginal.support[(0,)] == pytest.approx(0.35, abs=1e-15)
-        assert marginal.support[(1,)] == pytest.approx(0.35, abs=1e-15)
-        assert conditionals[(1,)].support[(1,)] == pytest.approx(0.7, abs=1e-15)
+class TestSurvivorCounts:
+    """The integer survivor counts that every deletion law is built from."""
 
-    def test_rational_mode_mass_is_exact(self):
-        marginal, conditionals = exact_deletion_law(6, Fraction(1, 7))
-        assert marginal.exact
-        assert marginal.mass() == 1
-        assert abs(1 - marginal.mass()) == 0
-        assert all(law.mass() == 1 for law in conditionals.values())
-
-    def test_float_mode_mass(self):
-        marginal, _ = exact_deletion_law(8, 0.23)
-        assert abs(1 - marginal.mass()) < 1e-12
-
-    def test_rational_mass_is_the_exact_sum(self):
-        values = [Fraction(1, 3), Fraction(2, 7), Fraction(5, 12), Fraction(-1, 10), Fraction(3)]
-        support = {(k,) * k: v for k, v in enumerate(values)}
-        mass = ExactDistribution(support, exact=True).mass()
-        assert mass == sum(values, Fraction(0)) and isinstance(mass, Fraction)
-        assert ExactDistribution({}, exact=True).mass() == 0
-
-    def test_float_mass_is_fsum(self):
-        support = {(k % 2,) * (k + 1): 0.1 for k in range(10)}
-        assert ExactDistribution(support, exact=False).mass() == math.fsum([0.1] * 10) == 1.0
+    @staticmethod
+    def per_input(n, m):
+        return np.concatenate([c for _, c in oracle._survivor_counts(n, m, np.arange(1 << n))])
 
     def test_conditionals_from_embedding_counts(self):
-        p_d = 0.2
-        _, conditionals = exact_deletion_law(7, p_d)
         gen = np.random.default_rng(17)
-        x = tuple(gen.integers(0, 2, size=7))
-        law = conditionals[x].support
-        for y, prob in law.items():
-            expected = subsequence_weight(x, y) * p_d ** (7 - len(y)) * (1 - p_d) ** len(y)
-            assert prob == pytest.approx(expected, rel=1e-12)
+        x = tuple(int(b) for b in gen.integers(0, 2, size=7))
+        code = sum(b << k for k, b in enumerate(x))
+        for m in range(8):
+            for y, count in enumerate(self.per_input(7, m)[code].tolist()):
+                assert count == subsequence_weight(x, tuple((y >> k) & 1 for k in range(m)))
 
     def test_every_conditional_matches_brute_force(self):
-        n, p_d = 5, Fraction(1, 7)
-        _, conditionals = exact_deletion_law(n, p_d)
-        assert list(conditionals) == list(all_bit_strings(n))
-        for x, law in conditionals.items():
-            expected = {
-                y: count * p_d ** (n - len(y)) * (1 - p_d) ** len(y)
-                for y, count in brute_subsequence_counts(x).items()
+        n = 5
+        counts = [self.per_input(n, m) for m in range(n + 1)]
+        for code, x in enumerate(all_bit_strings(n)):
+            got = {
+                tuple((y >> k) & 1 for k in range(m)): c
+                for m in range(n + 1)
+                for y, c in enumerate(counts[m][code].tolist())
+                if c
             }
-            assert law.support == expected
+            assert got == brute_subsequence_counts(x)
 
-    def test_marginal_uniform_within_each_length(self):
-        n, p_d = 6, 0.22
-        marginal, _ = exact_deletion_law(n, p_d)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_row_sums_to_the_binomial(self, n):
+        # so every conditional law, and the marginal, has mass exactly 1 at any p_d
         for m in range(n + 1):
-            probs = {prob for y, prob in marginal.support.items() if len(y) == m}
-            j = n - m
-            expected = 2.0**-m * comb(n, j) * p_d**j * (1 - p_d) ** m
-            assert len(probs) == 1
-            assert probs.pop() == pytest.approx(expected, rel=1e-12)
+            for _, counts in oracle._survivor_counts(n, m, np.arange(1 << n)):
+                assert counts.dtype == np.int64 and np.all(counts.sum(axis=1) == comb(n, m))
 
     def test_resource_guard(self):
         with pytest.raises(OracleResourceError):
-            exact_deletion_law(15, 0.1)
+            deletion_output_multiplicities(15)
 
 
 class TestPerLengthUniformity:
@@ -322,6 +294,10 @@ class TestDeletionKernel:
             dense = [math.fsum(slog), math.fsum(mass), math.fsum(total)]
             np.testing.assert_allclose(column[[0, 1, 3]], dense, rtol=1e-12, atol=0)
             assert column[2] == pytest.approx(oracle._slog(total), rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_integer_p_e_zero_sums_equal_the_float_laws_bit_for_bit(self, n):
+        assert oracle._deletion_sums(n, (0.0,))[0].tobytes() == float_deletion_sums(n).tobytes()
 
     @pytest.mark.parametrize("grid", [(0.0, 0.05), (0.05, 0.0, 0.3)])
     def test_grid_rows_equal_single_p_e_sums(self, grid):
@@ -475,6 +451,13 @@ class TestInsertionKernel:
                 for code, count in enumerate(arr.tolist()):
                     y = tuple((code >> (n + j - 1 - i)) & 1 for i in range(n + j))
                     assert count == expected.get(y, 0)
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_count_law_equals_the_reshaped_form(self, n):
+        inputs = list(all_bit_strings(n)) if n <= 8 else []
+        for bits in [(2,) * n, *inputs]:
+            law = oracle._insertion_count_law(bits)
+            assert law.tobytes() == reshaped_insertion_count_law(bits).tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_packed_law_is_zero_below_the_input_length(self, n):

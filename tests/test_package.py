@@ -68,10 +68,8 @@ PUBLIC = {
     "oracle": [
         "Comparison",
         "EntropyReport",
-        "ExactDistribution",
         "OracleResourceError",
         "deletion_output_multiplicities",
-        "exact_deletion_law",
         "exact_deletion_substitution_entropies",
         "exact_insertion_conditional_law",
         "exact_insertion_entropies",
@@ -177,8 +175,12 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert synchan.cli.main(argv) == code, stage
         stages[stage] = loaded("scipy", "mpmath", *VERIFY_ONLY)
 import synchan.verification
+# fractions included: the rational deletion law was its last user in verify
+for check in ("run_property_checks", "run_oracle_checks", "run_chain_checks"):
+    getattr(synchan.verification, check)()
+stages["property, oracle and chain checks"] = loaded("scipy", "mpmath", "fractions")
 synchan.verification.run_simulator_checks(scale=0.01)
-stages["simulator checks"] = loaded("scipy", "mpmath")
+stages["simulator checks"] = loaded("scipy", "mpmath", "fractions")
 print(json.dumps(stages))
 """
 
@@ -191,7 +193,7 @@ def test_runtime_loads_neither_scipy_nor_mpmath():
     assert result.returncode == 0, result.stderr
     stages = json.loads(result.stdout)
     assert stages == {name: [] for name in stages}
-    assert len(stages) == 6
+    assert len(stages) == 7
 
 
 _FAILING_HYPOTHESIS_TEST = """

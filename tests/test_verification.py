@@ -54,6 +54,21 @@ def test_oracle_scope_checks_uniformity_at_n12(monkeypatch):
     assert checks["deletion_per_length_uniformity"] is False
 
 
+def test_survivor_row_sum_check_sees_one_miscounted_keep_set(monkeypatch):
+    survivor_counts = oracle._survivor_counts
+
+    def one_keep_set_too_many(n, m, inputs):
+        for rows, counts in survivor_counts(n, m, inputs):
+            if (n, m) == (8, 3) and rows.start == 0:
+                counts = counts.copy()
+                counts[0, 5] += 1
+            yield rows, counts
+
+    monkeypatch.setattr(oracle, "_survivor_counts", one_keep_set_too_many)
+    checks = {c.name: c.passed for c in verification.run_property_checks()}
+    assert checks["deletion_survivor_row_sums"] is False
+
+
 def test_every_recorded_chain_failure_is_the_known_insertion_weight_defect():
     checks = [verification.Check(*row) for row in RECORDED["run_chain_checks()"]]
     failing = [c for c in checks if not c.passed]
