@@ -25,6 +25,8 @@ from .bounds import _BOUNDS, ChannelParams, _grid_rates, evaluate_bound, optimiz
 from .numerics import _check_integer
 from .reference_tables import CellDiff, table1_diffs, table2_diffs
 
+__all__ = ["main"]
+
 _METHODS = {
     "gallager": "gallager",
     "deletion": "deletion",
@@ -35,7 +37,7 @@ _METHODS = {
     "ins-small-p": "random_insertion_small_p",
 }
 
-# the scopes of synchan.verification, in the order they run; named here so that only verify loads it
+# the scopes of ``verify``, in the order they run; named here so that only verify loads verification
 _SCOPES = ("properties", "oracle", "chains", "simulators")
 
 # the JSON layouts of ``verify`` and of ``bound``/``optimize``: bump when a key changes or goes away
@@ -99,7 +101,7 @@ def _print_result(result, as_json: bool) -> None:
         print(f"  {name:<24s} {value:+.6g}")
 
 
-def cmd_bound(args) -> int:
+def _cmd_bound(args) -> int:
     _print_result(evaluate_bound(_METHODS[args.method], _params_from_args(args), args.n), args.json)
     return 0
 
@@ -128,7 +130,7 @@ def _write_diff_csv(fh, diffs: list[CellDiff]) -> None:
         )
 
 
-def cmd_table(args) -> int:
+def _cmd_table(args) -> int:
     with _open_csv(args.csv) as out:
         diffs = table1_diffs() if args.which.upper() in ("I", "1") else table2_diffs()
         bad = _print_table(diffs)
@@ -208,7 +210,7 @@ def _parse_axis(text: str | None, integer: bool = False) -> list | None:
     return [int(round(v)) for v in values] if integer else values
 
 
-def cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> int:
     def axis(text, default, integer=False):
         parsed = _parse_axis(text, integer=integer)
         return default if parsed is None else parsed
@@ -246,7 +248,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _cmd_verify(args) -> int:
     # each scope once, in the order first given
     scopes = list(dict.fromkeys(args.scope or ["all"]))
     if "all" in scopes:
@@ -254,14 +256,21 @@ def cmd_verify(args) -> int:
     if not 0.0 < args.mc_samples < math.inf:
         raise ValueError(f"--mc-samples must be positive and finite, got {args.mc_samples!r}")
     _check_integer(args.seed, "verify", what="seed", minimum=0)
-    from .verification import _recorded_defect, run_scopes
+    from . import verification
 
     scale = args.mc_samples / 1_000_000.0
     results = {}
     wall_s: dict[str, float] = {}
     for scope in (s for s in _SCOPES if s in scopes):
         began = time.perf_counter()
-        results.update(run_scopes([scope], seed=args.seed, mc_scale=scale))
+        if scope == "properties":
+            results[scope] = verification.run_property_checks(args.seed)
+        elif scope == "oracle":
+            results[scope] = verification.run_oracle_checks()
+        elif scope == "chains":
+            results[scope] = verification.run_chain_checks()
+        else:
+            results[scope] = verification.run_simulator_checks(args.seed, scale)
         wall_s[scope] = time.perf_counter() - began
     failures, known = [], []  # each failing check as scope:name, and those of the recorded defect
     for scope in scopes:
@@ -271,7 +280,7 @@ def cmd_verify(args) -> int:
             for check in checks:
                 print(f"  {check}")
         failures.extend(f"{scope}:{c.name}" for c in checks if not c.passed)
-        known.extend(f"{scope}:{c.name}" for c in checks if _recorded_defect(scope, c))
+        known.extend(f"{scope}:{c.name}" for c in checks if verification._recorded_defect(scope, c))
     if args.json:
         payload = {
             "schema_version": _VERIFY_SCHEMA_VERSION,
@@ -295,7 +304,7 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> int:
     method, params = _METHODS[args.method], _params_from_args(args)
     if _BOUNDS[method].n_min is None:  # name the choices as --method spells them
         scanned = sorted(name for name, tag in _METHODS.items() if _BOUNDS[tag].n_min is not None)
@@ -316,7 +325,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--noise-var", type=float, default=None, help="AWGN noise variance")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synchan",
         description="Capacity lower bounds and verification for synchronization-error channels",
@@ -328,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--n", type=int, default=None, help="block length")
     _add_param_flags(p_bound)
     p_bound.add_argument("--json", action="store_true")
-    p_bound.set_defaults(func=cmd_bound)
+    p_bound.set_defaults(func=_cmd_bound)
 
     p_table = sub.add_parser("table", help="regenerate a reference table and diff it")
     p_table.add_argument("which", choices=["I", "II", "1", "2", "i", "ii"])
     p_table.add_argument("--csv", default=None, help="write the cell diff as CSV")
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=_cmd_table)
 
     p_sweep = sub.add_parser("sweep", help="evaluate bounds over a parameter grid")
     p_sweep.add_argument(
@@ -346,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--snr-db", default=None, help="axis (dB)")
     p_sweep.add_argument("--n", default=None, help="axis (integers)")
     p_sweep.add_argument("--csv", default=None, help="output path (default stdout)")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument(
@@ -363,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="statistical-test sample budget (scales the registered sizes)",
     )
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_opt = sub.add_parser("optimize", help="find the best block length for a bound")
     p_opt.add_argument("--method", choices=sorted(_METHODS), required=True)
@@ -371,12 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--n-min", type=int, default=None)
     _add_param_flags(p_opt)
     p_opt.add_argument("--json", action="store_true")
-    p_opt.set_defaults(func=cmd_optimize)
+    p_opt.set_defaults(func=_cmd_optimize)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the ``synchan`` command line on ``argv`` (default ``sys.argv[1:]``); return its exit status."""
+    parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
@@ -385,9 +395,5 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -46,7 +46,7 @@ def _check_integer(value, owner: str, what: str = "block length", minimum: int |
 
 
 def binary_entropy(p: float) -> float:
-    """Binary entropy H_b(p) = -p*log2(p) - (1-p)*log2(1-p) in bits."""
+    """Binary entropy H_b(p) = -p log2(p) - (1-p) log2(1-p) in bits."""
     p = _check_probability(p)
     if p == 0.0 or p == 1.0:
         return 0.0

@@ -101,7 +101,6 @@ class EntropyReport:
     mutual_information: float
     block_entropy: float
     bound_chain: tuple[Comparison, ...]
-    arithmetic_mode: str
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +309,7 @@ def _deletion_reports(
                 Comparison.make("capacity_chain", bound.rate, (mutual - h_t) / n, "le", 1e-12),
             )
             reports[p_d, p_e] = EntropyReport(
-                "deletion_substitution", n, output, conditional, mutual, h_t, chain, "float64"
+                "deletion_substitution", n, output, conditional, mutual, h_t, chain
             )
     return reports
 
@@ -442,9 +441,7 @@ def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
                 Comparison.make("conditional_entropy_bound" + tag, ub, conditional, "ge", 1e-12),
                 Comparison.make("capacity_chain" + tag, bound.rate, rate, "le", 1e-12),
             ]
-    return EntropyReport(
-        "random_insertion", n, output, conditional, mutual, h_t, tuple(chain), "float64"
-    )
+    return EntropyReport("random_insertion", n, output, conditional, mutual, h_t, tuple(chain))
 
 
 def exact_insertion_conditional_law(

@@ -16,18 +16,7 @@ from dataclasses import dataclass
 
 from .bounds import _BOUNDS, _grid_rates
 
-__all__ = [
-    "ABS_TOL",
-    "REL_TOL",
-    "CellDiff",
-    "TABLE1_LEFT",
-    "TABLE1_RIGHT",
-    "TABLE2_LEFT",
-    "TABLE2_RIGHT",
-    "KNOWN_DISCREPANT_CELLS",
-    "table1_diffs",
-    "table2_diffs",
-]
+__all__ = ["CellDiff", "table1_diffs", "table2_diffs"]
 
 ABS_TOL = 5e-4
 REL_TOL = 0.01

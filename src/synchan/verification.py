@@ -20,12 +20,10 @@ from .channels import RngState
 
 __all__ = [
     "Check",
-    "SIGNIFICANCE",
     "run_property_checks",
     "run_oracle_checks",
     "run_chain_checks",
     "run_simulator_checks",
-    "run_scopes",
 ]
 
 SIGNIFICANCE = 1e-3
@@ -65,6 +63,8 @@ INSERTION_GRID_P = (0.01, 0.1, 0.3)
 
 @dataclass(frozen=True)
 class Check:
+    """One verdict of ``synchan verify``: the check's name, whether it passed, and what it saw."""
+
     name: str
     passed: bool
     detail: str
@@ -524,18 +524,3 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     )
     return checks
 
-
-# each scope of ``synchan verify``, in the order it runs them: its checks at a seed and a sample scale
-_SCOPES = {
-    "properties": lambda seed, scale: run_property_checks(seed),
-    "oracle": lambda seed, scale: run_oracle_checks(),
-    "chains": lambda seed, scale: run_chain_checks(),
-    "simulators": lambda seed, scale: run_simulator_checks(seed, scale),
-}
-
-
-def run_scopes(
-    scopes: Sequence[str], seed: int = 20250809, mc_scale: float = 1.0
-) -> dict[str, list[Check]]:
-    """Run the named scopes ("properties", "oracle", "chains", "simulators"), each at ``seed``."""
-    return {scope: run(seed, mc_scale) for scope, run in _SCOPES.items() if scope in scopes}

@@ -4,6 +4,7 @@ import json
 import math
 import textwrap
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -458,26 +459,26 @@ class TestVerifyCommand:
         assert all(name.startswith("chains:deletion_") for name in new)
         assert set(payload["known_failures"]) <= set(payload["failures"])
 
-    @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
-    def test_invalid_sample_budget_rejected_before_any_scope(self, capsys, monkeypatch, budget):
+    @pytest.fixture
+    def scopes_run(self, monkeypatch):
+        """The names of the scopes' check functions called, each replaced by one that returns no checks."""
         ran = []
-        monkeypatch.setattr(verification, "run_scopes", lambda *args, **kwargs: ran.append(args) or {})
+        for name in ("run_property_checks", "run_oracle_checks", "run_chain_checks", "run_simulator_checks"):
+            monkeypatch.setattr(verification, name, lambda *args, name=name, **kwargs: ran.append(name) or [])
+        return ran
+
+    @pytest.mark.parametrize("budget", ["inf", "nan", "0", "-1"])
+    def test_invalid_sample_budget_rejected_before_any_scope(self, capsys, scopes_run, budget):
         code, out, err = run_cli(capsys, "verify", "--mc-samples", budget)
         assert code == 2
         assert err.startswith("error:") and "--mc-samples" in err
-        assert out == "" and ran == []
+        assert out == "" and scopes_run == []
 
     @pytest.mark.parametrize("scope", ["all", "oracle"])
-    def test_negative_seed_rejected_before_any_scope(self, capsys, monkeypatch, scope):
+    def test_negative_seed_rejected_before_any_scope(self, capsys, scopes_run, scope):
         # the oracle scope draws nothing, yet a seed out of the domain is still an error
-        ran = []
-        monkeypatch.setattr(verification, "run_scopes", lambda *args, **kwargs: ran.append(args) or {})
         code, out, err = run_cli(capsys, "verify", "--scope", scope, "--seed", "-1")
-        assert (code, out, err, ran) == (2, "", "error: seed must be >= 0, got -1\n", [])
-
-    def test_scope_choices_are_the_verification_scopes(self):
-        # cli names the scopes itself, so that no command but verify loads synchan.verification
-        assert list(cli._SCOPES) == list(verification._SCOPES)
+        assert (code, out, err, scopes_run) == (2, "", "error: seed must be >= 0, got -1\n", [])
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1e-6])
     def test_simulator_checks_reject_invalid_scale(self, scale):
@@ -539,10 +540,48 @@ class TestOptimizeCommand:
         assert json.loads(out)["block_length"] == 2
 
 
+# each command that takes a noise flag, with its other flags
+_NOISE_COMMANDS = {
+    "bound": ["bound", "--method", "del-awgn", "--n", "100", "--pd", "0.1"],
+    "optimize": ["optimize", "--method", "del-awgn", "--pd", "0.1", "--n-max", "50"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NOISE_COMMANDS))
+def test_noise_variance_is_sigma_squared(capsys, command):
+    # sqrt(0.64) is 0.8 exactly in floats, so both flags give the same sigma
+    by_variance = run_cli(capsys, *_NOISE_COMMANDS[command], "--noise-var", "0.64", "--json")
+    by_sigma = run_cli(capsys, *_NOISE_COMMANDS[command], "--sigma", "0.8", "--json")
+    assert by_variance == by_sigma
+    assert by_variance[0] == 0
+    if command == "bound":
+        assert json.loads(by_variance[1])["rate"].hex() == (0.21779300736578733).hex()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--noise-var", "-1"], "--noise-var must be nonnegative"),
+        (["--noise-var", "0.64", "--sigma", "0.8"], "pass at most one of --sigma, --snr-db, --noise-var"),
+    ],
+)
+@pytest.mark.parametrize("command", sorted(_NOISE_COMMANDS))
+def test_invalid_noise_variance_is_a_one_line_error(capsys, command, flags, message):
+    assert run_cli(capsys, *_NOISE_COMMANDS[command], *flags) == (2, "", f"error: {message}\n")
+
+
 def test_console_entry_point():
     result = run_python("-m", "synchan.cli", "bound", "--method", "gallager", "--pi", "0.1")
     assert result.returncode == 0
     assert "0.531" in result.stdout
+
+
+def test_installed_script_is_main():
+    # the script setuptools generates for a [project.scripts] entry runs sys.exit(main())
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"synchan": "synchan.cli:main"}
 
 
 def test_gallager_text_output(capsys):

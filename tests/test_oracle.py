@@ -218,7 +218,6 @@ class TestDeletionSubstitutionEntropies:
             report.output_entropy - report.conditional_entropy, abs=1e-12
         )
         assert report.block_entropy == pytest.approx(block_entropy(6, 0.1), abs=1e-14)
-        assert report.arithmetic_mode == "float64"
 
     def test_no_deletions_reduces_to_bsc(self):
         report = exact_deletion_substitution_entropies(6, 0.0, 0.05)

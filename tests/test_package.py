@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import re
 import shutil
 import types
 from pathlib import Path
@@ -11,7 +12,28 @@ import synchan
 
 from helpers import run_python
 
-MODULES = ["bounds", "channels", "combinatorics", "numerics", "oracle", "reference_tables", "verification"]
+ROOT = Path(__file__).parents[1]
+
+# the modules whose __all__ together make up the public surface
+MODULES = [
+    "bounds", "channels", "cli", "combinatorics", "numerics", "oracle", "reference_tables", "verification"
+]
+
+_API_LINE = re.compile(r"- `synchan\.(\w+)\.(\w+)` — (.+)")
+
+
+def _readme_api() -> dict[str, str]:
+    """{"module.name": text} for each line of the README's API section."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    api = {}
+    for line in section.splitlines():
+        if line.startswith("- "):
+            match = _API_LINE.fullmatch(line)
+            assert match, f"not an API line: {line!r}"
+            assert f"{match[1]}.{match[2]}" not in api, f"listed twice: {line!r}"
+            api[f"{match[1]}.{match[2]}"] = match[3]
+    return api
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -21,116 +43,43 @@ def test_every_exported_name_exists(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
-def test_package_exports_only_module_exports():
-    public = {attr for name in MODULES for attr in importlib.import_module(f"synchan.{name}").__all__}
+def test_readme_api_is_the_public_surface():
+    # the README's API list is the one declaration of the public surface: a name added to a
+    # module's __all__ needs a README line, and a README line must name a public function or class
+    api = _readme_api()
+    modules = {name: importlib.import_module(f"synchan.{name}") for name in MODULES}
+    public = {
+        f"{name}.{attr}": getattr(module, attr) for name, module in modules.items() for attr in module.__all__
+    }
+    assert sorted(set(api) - set(public)) == []
+    assert sorted(set(public) - set(api)) == []
+    assert [name for name, obj in public.items() if not callable(obj)] == []
+    assert {name: (obj.__doc__ or "").strip().split("\n", 1)[0] for name, obj in public.items()} == api
+
+
+def test_package_namespace_holds_only_modules():
+    # every public name is imported from its module; the package re-exports none
     exported = {
         attr
         for attr, value in vars(synchan).items()
         if not attr.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported - public == set()
+    assert exported == set()
 
 
-# the public surface, name by name: a name added to or removed from it is a deliberate edit here
-PUBLIC = {
-    "bounds": [
-        "BoundResult",
-        "ChannelParams",
-        "capacity_expansion_constant",
-        "deletion_awgn_bound",
-        "deletion_bound",
-        "deletion_bound_small_p",
-        "deletion_small_p_coefficients",
-        "deletion_substitution_bound",
-        "evaluate_bound",
-        "gallager_bound",
-        "insertion_small_p_coefficients",
-        "optimize_block_length",
-        "random_insertion_bound",
-        "random_insertion_bound_small_p",
-    ],
-    "channels": [
-        "RngState",
-        "simulate_bsc",
-        "simulate_deletion",
-        "simulate_deletion_awgn",
-        "simulate_deletion_substitution",
-        "simulate_gallager_insertion",
-    ],
-    "combinatorics": [
-        "expected_run_count",
-        "mean_pattern_log_weight",
-        "mean_pattern_log_weights",
-        "single_insertion_log_weight",
-        "single_insertion_log_weight_exact",
-    ],
-    "numerics": ["awgn_expectation", "binary_entropy", "block_entropy"],
-    "oracle": [
-        "Comparison",
-        "EntropyReport",
-        "OracleResourceError",
-        "deletion_output_multiplicities",
-        "exact_deletion_substitution_entropies",
-        "exact_insertion_conditional_law",
-        "exact_insertion_entropies",
-        "insertion_output_multiplicities",
-        "mc_awgn_entropy_check",
-    ],
-    "reference_tables": [
-        "ABS_TOL",
-        "CellDiff",
-        "KNOWN_DISCREPANT_CELLS",
-        "REL_TOL",
-        "TABLE1_LEFT",
-        "TABLE1_RIGHT",
-        "TABLE2_LEFT",
-        "TABLE2_RIGHT",
-        "table1_diffs",
-        "table2_diffs",
-    ],
-    "verification": [
-        "Check",
-        "SIGNIFICANCE",
-        "run_chain_checks",
-        "run_oracle_checks",
-        "run_property_checks",
-        "run_scopes",
-        "run_simulator_checks",
-    ],
-}
-
-PACKAGE = [
-    "BoundResult",
-    "ChannelParams",
-    "awgn_expectation",
-    "binary_entropy",
-    "block_entropy",
-    "capacity_expansion_constant",
-    "deletion_awgn_bound",
-    "deletion_bound",
-    "deletion_bound_small_p",
-    "deletion_substitution_bound",
-    "evaluate_bound",
-    "expected_run_count",
-    "gallager_bound",
-    "mean_pattern_log_weight",
-    "optimize_block_length",
-    "random_insertion_bound",
-    "random_insertion_bound_small_p",
-    "single_insertion_log_weight",
-    "single_insertion_log_weight_exact",
-]
-
-
-def test_public_surface_is_pinned():
-    exports = {name: sorted(importlib.import_module(f"synchan.{name}").__all__) for name in MODULES}
-    assert exports == PUBLIC
-    exported = sorted(
-        attr
-        for attr, value in vars(synchan).items()
-        if not attr.startswith("_") and not isinstance(value, types.ModuleType)
-    )
-    assert exported == PACKAGE
+def test_benchmark_reads_only_documented_names():
+    # bench/child.py runs the program through these modules' names: one dropped from the API
+    # would fail its rounds, not a test
+    modules = {"bounds", "cli", "oracle", "verification"}
+    read = set()
+    for node in ast.walk(ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute):
+            value = node.value
+            owner = value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", None)
+            if owner in modules:
+                read.add(f"{owner}.{node.attr}")
+    assert {name.split(".")[0] for name in read} == modules
+    assert sorted(read - set(_readme_api())) == []
 
 
 # the messages of the domain checks that synchan.numerics declares once for the whole package
@@ -149,8 +98,8 @@ def test_domain_checks_are_declared_once():
     assert copies == []
 
 
-# in a fresh interpreter: which of the modules no command but verify needs, and which heavy
-# modules, each stage of a run has loaded
+# in a fresh interpreter: which submodules ``import synchan`` loads, and then which of the modules
+# no command but verify needs, and which heavy modules, each stage of a run has loaded
 _LOADED_MODULES_SCRIPT = """
 import contextlib, io, json, sys
 
@@ -161,8 +110,10 @@ def loaded(*packages):
     return sorted(name for name in sys.modules if any(name == p or name.startswith(p + ".") for p in packages))
 
 
+import synchan
+stages = {"import synchan": [name for name in loaded("synchan") if name != "synchan"]}
 import synchan.cli
-stages = {"import synchan.cli": loaded("scipy", "mpmath", *VERIFY_ONLY)}
+stages["import synchan.cli"] = loaded("scipy", "mpmath", *VERIFY_ONLY)
 commands = {
     "bound": (["bound", "--method", "del-awgn", "--n", "100", "--pd", "0.1", "--sigma", "0.8"], 0),
     "sweep": (["sweep", "--method", "del-sub", "--method", "insertion", "--pd", "0.1", "--pe", "0,0.01",
@@ -193,7 +144,7 @@ def test_runtime_loads_neither_scipy_nor_mpmath():
     assert result.returncode == 0, result.stderr
     stages = json.loads(result.stdout)
     assert stages == {name: [] for name in stages}
-    assert len(stages) == 7
+    assert len(stages) == 8
 
 
 _FAILING_HYPOTHESIS_TEST = """
