@@ -11,8 +11,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .combinatorics import _single_insertion_weights, mean_pattern_log_weights
+from .combinatorics import _RUN_SUMS, _single_insertion_weights, mean_pattern_log_weights
 from .numerics import (
+    _MAX_N,
     _binomial_log_pmf_vec,
     _check_integer,
     _check_probability,
@@ -227,7 +228,7 @@ def _insertion_components(axes: dict, exact: bool = False) -> dict:
     # of 1 can take it below 0 where it is tiny
     ends = [np.full(q.shape, -1.0), keep_k[:, at], n * q, p_k[:, at], n * p_k[:, at - 1] * (1.0 - p)]
     sums = np.reshape([math.fsum(e) for e in np.stack(ends, axis=-1).reshape(-1, 5).tolist()], q.shape)
-    per_n = [((3 * m + 1) / (4 * m), math.log2(m * (m - 1) / 2), math.log2(m)) for m in ns]
+    per_n = [((3 * m + 1) / (4 * m), math.log2(m * (m - 1) // 2), math.log2(m)) for m in ns]
     fraction, log_pairs, log_n = np.array(per_n).T
     components = {
         "base": keep_k[:, at],
@@ -257,7 +258,7 @@ def insertion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p insertion polynomial."""
     n = _check_block_length("random_insertion_small_p", n)
     s = _single_insertion_weights([n]).item()
-    b = math.log2(n * (n - 1) / 2)
+    b = math.log2(n * (n - 1) // 2)
     c = (3 * n + 1) / (4 * n)
     return (
         s - c,
@@ -276,15 +277,17 @@ class _Bound(NamedTuple):
     n_min: int | None
     scan_min: int | None
     components: Callable
+    n_max: int = _MAX_N
 
 
 def _awgn_penalty(sigma: float) -> float:
     return 0.0 if sigma == 0.0 else awgn_expectation(sigma)
 
 
-# each bound: its smallest block length (None: it takes none), the block length an
-# optimize scan starts from, and its components on a grid of axes, each computed once
-# per value of the axes it reads and shaped to broadcast.  The multi-insertion penalty
+# each bound: its smallest block length (None: it takes none), the block length an optimize
+# scan starts from, its components on a grid of axes, each computed once per value of the
+# axes it reads and shaped to broadcast, and its largest block length (a small-p quartic
+# coefficient, about -n^4/6, is a finite float up to 2^250).  The multi-insertion penalty
 # term log2(n(n-1)/2) vanishes at n = 2, which makes the n = 2 insertion value
 # spuriously dominate every scan; the reference optima are taken over n >= 3
 _BOUNDS = {
@@ -298,17 +301,19 @@ _BOUNDS = {
     ),
     "random_insertion": _Bound(2, 3, _insertion_components),
     "random_insertion_exact": _Bound(2, 3, partial(_insertion_components, exact=True)),
-    "deletion_small_p": _Bound(4, 4, partial(_small_p_components, deletion_small_p_coefficients, "p_d")),
+    "deletion_small_p": _Bound(
+        4, 4, partial(_small_p_components, deletion_small_p_coefficients, "p_d"), 2**250
+    ),
     "random_insertion_small_p": _Bound(
-        4, 4, partial(_small_p_components, insertion_small_p_coefficients, "p_i")
+        4, 4, partial(_small_p_components, insertion_small_p_coefficients, "p_i"), 2**250
     ),
 }
 
 
 def _check_block_length(method: str, n) -> int | None:
     """``n`` as an int where the method takes a block length; a ValueError if it is not one."""
-    n_min = _BOUNDS[method].n_min
-    return None if n_min is None else _check_integer(n, f"method {method!r}", minimum=n_min)
+    n_min, _, _, n_max = _BOUNDS[method]
+    return None if n_min is None else _check_integer(n, f"method {method!r}", minimum=n_min, maximum=n_max)
 
 
 def evaluate_bound(method: str, params: ChannelParams, n: int | None = None) -> BoundResult:
@@ -386,8 +391,7 @@ def optimize_block_length(
 def capacity_expansion_constant() -> float:
     """First-order constant of the small-p deletion capacity expansion.
 
-    log2(2e) minus the geometric series sum of 2^(-l-1) l log2(l); the tail
-    beyond 200 terms is far below 1e-12.
+    log2(2e) minus the series sum of 2^(-l-1) l log2(l), read from the run-series
+    prefix sums over l <= 128; the terms beyond sum to below 2^-113.
     """
-    series = math.fsum(2.0 ** (-l - 1) * l * math.log2(l) for l in range(2, 201))
-    return math.log2(2.0 * math.e) - series
+    return math.log2(2.0 * math.e) - _RUN_SUMS[3, -1] / 2.0

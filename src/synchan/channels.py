@@ -37,7 +37,7 @@ class RngState:
     """A seeded PCG64 stream with an explicit split rule for independence."""
 
     def __init__(self, seed: int | None = None, _sequence: np.random.SeedSequence | None = None):
-        seed = seed if seed is None else _check_integer(seed, "RngState", what="seed", minimum=0)
+        seed = seed if seed is None else _check_integer(seed, "RngState", what="seed", minimum=0, maximum=None)
         self._sequence = _sequence if _sequence is not None else np.random.SeedSequence(seed)
         self.generator = np.random.default_rng(self._sequence)
 

@@ -255,7 +255,7 @@ def _cmd_verify(args) -> int:
         scopes = list(_SCOPES)
     if not 0.0 < args.mc_samples < math.inf:
         raise ValueError(f"--mc-samples must be positive and finite, got {args.mc_samples!r}")
-    _check_integer(args.seed, "verify", what="seed", minimum=0)
+    _check_integer(args.seed, "verify", what="seed", minimum=0, maximum=None)
     from . import verification
 
     scale = args.mc_samples / 1_000_000.0

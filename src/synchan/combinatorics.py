@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -124,34 +123,35 @@ def mean_pattern_log_weight(n: int, j: int) -> float:
     return float(mean_pattern_log_weights(n, j, j)[0])
 
 
+_RUN_CUT = 128  # longer runs add below 2^-_RUN_CUT (_RUN_CUT + 3)^2 < 2^-113 of a run-series weight
+
+
+def _run_prefix_sums() -> np.ndarray:
+    """Rows F0, F1, B, S: at m = 0.._RUN_CUT, one fsum over l = 1..m of 2^-l (l+2) log2(l+2),
+    l times that, 2^-l 2 (l+1) log2(l+1) and 2^-l l log2(l)."""
+    x_log2_x = np.array([0.0] + [x * math.log2(x) for x in range(1, _RUN_CUT + 3)])
+    l = np.arange(1, _RUN_CUT + 1)
+    f0 = np.ldexp(x_log2_x[l + 2], -l)
+    rows = np.array([f0, l * f0, np.ldexp(x_log2_x[l + 1], 1 - l), np.ldexp(x_log2_x[l], -l)]).tolist()
+    return np.array([[math.fsum(row[:m]) for m in range(_RUN_CUT + 1)] for row in rows])
+
+
+_RUN_SUMS = _run_prefix_sums()
+
+
 def _single_insertion_weights(ns: Sequence[int], exact: bool = False) -> np.ndarray:
     """The printed single-insertion weight at each block length of ``ns``, or the exact one.
 
-    Each is fsum(t_l) / (4n) + 2^(-n-1) log2(n), t_l = 2^-l (c (l+2) log2(l+2)
-    + 2 (l+1) log2(l+1)), with c = n + 1 - l printed and (n - l - 1) / 2
-    exact, over l = 1..n-1 while 2^-l (n+3) (l+2) log2(l+2) is at least
-    ``_RUN_WEIGHT_FLOOR``.  Each float operation is that sum's at n alone.
+    Each is 2^(-n-1) log2(n) plus, over 4n, the sum over l = 1..n-1 of 2^-l (c (l+2) log2(l+2)
+    + 2 (l+1) log2(l+1)), c = n + 1 - l printed and (n - l - 1)/2 exact: with the prefix sums to
+    m = min(n - 1, _RUN_CUT), (n+1) F0 - F1 + B printed and ((n-1) F0 - F1)/2 + B exact.
     """
     ns = [_check_integer(n, "the single-insertion weight", minimum=1) for n in ns]
-    # 2^-l (n+3) < 2^-128 from l = bit_length(n+3) + 128 on, so every cut-off lies below it
-    lengths = np.arange(1, min(max(ns), (max(ns) + 3).bit_length() + 128))
-    logs = np.array([math.log2(k) for k in range(2, lengths.size + 3)])
-    w = np.ldexp(1.0, -lengths)
-    bound = w * np.array([float(n + 3) for n in ns])[:, None] * (lengths + 2) * logs[1:]
-    # the bound falls as l grows, so each row keeps a prefix of the lengths
-    keep = (bound >= _RUN_WEIGHT_FLOOR) & (lengths < np.reshape(ns, (-1, 1)))
-    # n + 1 = hi + lo with lo its low 32 bits: hi (l+2) and (lo - l)(l+2) are
-    # exact floats for n < 2^77, so their sum is (n + 1 - l)(l + 2) rounded once
-    lo, hi = np.array([((n + 1) & 0xFFFFFFFF, float((n + 1) >> 32 << 32)) for n in ns]).T[..., None]
-    if exact:
-        c = (hi + (lo - lengths - 2)) / 2.0 * (lengths + 2)
-    else:
-        c = hi * (lengths + 2) + (lo - lengths) * (lengths + 2)
-    terms = iter((w * (c * logs[1:] + 2 * (lengths + 1) * logs[:-1]))[keep].tolist())
-    tails = [math.ldexp(math.log2(n), -(n + 1)) for n in ns]
-    return np.array(
-        [math.fsum(islice(terms, k)) / (4 * n) + t for k, n, t in zip(keep.sum(axis=1).tolist(), ns, tails)]
-    )
+    f0, f1, b = _RUN_SUMS[:3, [min(n - 1, _RUN_CUT) for n in ns]]
+    # exact: (n-1)/2 F0 - F1/2, which is ((n-1) F0 - F1)/2 to the bit, as halving is exact
+    scale = 0.5 if exact else 1.0
+    sums = np.array([scale * float(n - 1 if exact else n + 1) for n in ns]) * f0 - scale * f1 + b
+    return sums / np.array([4.0 * n for n in ns]) + [math.ldexp(math.log2(n), -(n + 1)) for n in ns]
 
 
 def single_insertion_log_weight(n: int) -> float:

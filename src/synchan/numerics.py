@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 LN2 = math.log(2.0)
+_MAX_N = 2**1000  # the largest block length or count the closed forms take: 2^23 n is a finite float
 
 __all__ = [
     "binary_entropy",
@@ -36,12 +37,16 @@ def _check_sigma(sigma, positive: bool = False) -> float:
     return float(sigma)
 
 
-def _check_integer(value, owner: str, what: str = "block length", minimum: int | None = None) -> int:
-    """``value`` as an int if it is an integer (not a bool) >= ``minimum``, else a ValueError."""
+def _check_integer(
+    value, owner: str, what: str = "block length", minimum: int | None = None, maximum: int | None = _MAX_N
+) -> int:
+    """``value`` as an int if it is an integer (not a bool) in [minimum, maximum], else a ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):  # a flag is not a count
         raise ValueError(f"{owner} requires an integer {what}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{what} must be <= 2^{math.log2(maximum):g}, got {int(value).bit_length()} bits")
     return int(value)
 
 

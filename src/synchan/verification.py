@@ -228,32 +228,22 @@ def run_chain_checks(
     insertion_n: Iterable[int] = INSERTION_GRID_N,
 ) -> list[Check]:
     """Conditional-entropy bounds and capacity chains against exact enumeration."""
-    checks = []
-    for n in deletion_n:
-        reports = oracle._deletion_reports(n, DELETION_GRID_P, SUBSTITUTION_GRID_P)
-        for (p_d, p_e), report in reports.items():
-            for c in report.bound_chain[1:]:
-                checks.append(
-                    _check(
-                        f"deletion_{c.label}[n={n},pd={p_d},pe={p_e}]",
-                        c.holds,
-                        f"margin {c.margin:+.3e}",
-                    )
-                )
-    for n in insertion_n:
-        if n < 2:
-            continue
-        for p_i in INSERTION_GRID_P:
-            report = oracle.exact_insertion_entropies(n, p_i)
-            for c in report.bound_chain[1:]:
-                checks.append(
-                    _check(
-                        f"insertion_{c.label}[n={n},pi={p_i}]",
-                        c.holds,
-                        f"margin {c.margin:+.3e}",
-                    )
-                )
-    return checks
+    reports = [
+        (f"deletion_{{}}[n={n},pd={p_d},pe={p_e}]", report)
+        for n in deletion_n
+        for (p_d, p_e), report in oracle._deletion_reports(n, DELETION_GRID_P, SUBSTITUTION_GRID_P).items()
+    ]
+    reports += [
+        (f"insertion_{{}}[n={n},pi={p_i}]", oracle.exact_insertion_entropies(n, p_i))
+        for n in insertion_n
+        if n >= 2
+        for p_i in INSERTION_GRID_P
+    ]
+    return [
+        _check(name.format(c.label), c.holds, f"margin {c.margin:+.3e}")
+        for name, report in reports
+        for c in report.bound_chain[1:]
+    ]
 
 
 def _recorded_defect(scope: str, check: Check) -> bool:

@@ -86,9 +86,9 @@ def brute_single_insertion_log_weight(n):
 def scalar_single_insertion_sum(n, interior_coeff):
     """The single-insertion weight as a loop over run lengths l, with ``interior_coeff(l)``.
 
-    The scalar form the array kernel replaced, kept as its bit-for-bit reference:
-    ``lambda l: n + 1 - l`` gives the printed weight, ``lambda l: (n - l - 1) / 2.0``
-    the exact one.
+    The scalar form that ``_single_insertion_weights`` replaced, the weight of the
+    scalar insertion rate: ``lambda l: n + 1 - l`` gives the printed weight,
+    ``lambda l: (n - l - 1) / 2.0`` the exact one.
     """
     terms = []
     for l in range(1, n):
@@ -237,6 +237,32 @@ def mp_pattern_gain(n, p, run_cut=160, digits=40):
         if n <= run_cut:
             total += two ** (1 - n) * gains[n]
         return total / n
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_insertion_run_terms(run_cut, digits):
+    """2^-l (l+2) log2(l+2) and 2^-l 2 (l+1) log2(l+1) for l = 1..run_cut, in mpmath."""
+    with mpmath.workdps(digits):
+        two = mpmath.mpf(2)
+        return tuple(
+            (two**-l * (l + 2) * mpmath.log(l + 2, 2), two**-l * 2 * (l + 1) * mpmath.log(l + 1, 2))
+            for l in range(1, run_cut + 1)
+        )
+
+
+def mp_single_insertion_weight(n, exact=False, run_cut=200, digits=50):
+    """The printed single-insertion weight, or the exact one, summed term by term in mpmath, as an mpf.
+
+    The sum over l = 1..n-1 of 2^-l (c (l+2) log2(l+2) + 2 (l+1) log2(l+1)),
+    with c = n + 1 - l printed and (n - l - 1)/2 exact, over 4n, plus
+    2^(-n-1) log2(n).  Runs longer than ``run_cut`` are dropped: c <= n + 1
+    bounds their share of the weight by about 2^-run_cut run_cut^2, below 1e-55.
+    """
+    terms = _mp_insertion_run_terms(run_cut, digits)[: min(n - 1, run_cut)]
+    with mpmath.workdps(digits):
+        c = [mpmath.mpf(n - l - 1) / 2 if exact else n + 1 - l for l in range(1, len(terms) + 1)]
+        total = mpmath.fdot(c, [a for a, _ in terms]) + mpmath.fsum(b for _, b in terms)
+        return total / (4 * n) + mpmath.ldexp(mpmath.log(n, 2), -(n + 1))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from synchan import bounds
 from synchan.bounds import (
@@ -267,6 +268,34 @@ class TestRandomInsertionBound:
             assert math.isfinite(bound(n, p_i).rate)
 
 
+    @pytest.mark.parametrize("method", ["random_insertion", "random_insertion_exact"])
+    def test_finite_up_to_the_largest_block_length(self, method):
+        for p_i in (0.0, 5e-324, 1e-300, 0.1, 1.0):
+            assert math.isfinite(evaluate_bound(method, ChannelParams.insertion(p_i), 2**1000).rate)
+        for n in (2**1000 + 1, 10**400):
+            with pytest.raises(ValueError, match="block length must be <= 2\\^1000"):
+                evaluate_bound(method, ChannelParams.insertion(0.1), n)
+
+
+class TestInsertionGallagerCrossover:
+    """Where the insertion bound, at its best n = 3..512, stops beating Gallager's rate."""
+
+    @staticmethod
+    def _gains(method, p_is):
+        ours, gallager = bounds._grid_rates([method, "gallager"], [0.0], [0.0], p_is, [0.0], range(3, 513))
+        return ours[0, 0, :, 0].max(axis=-1) - gallager[0, 0, :, 0, 0]
+
+    @pytest.mark.parametrize(
+        "method, crossover", [("random_insertion", 0.24325946), ("random_insertion_exact", 0.00621658)]
+    )
+    def test_one_crossover(self, method, crossover):
+        root = brentq(lambda p_i: self._gains(method, [p_i])[0], 1e-4, 0.5, xtol=1e-12)
+        assert root == pytest.approx(crossover, abs=1e-6)
+        # the bound helps below the crossover, and only there
+        signs = np.sign(self._gains(method, np.geomspace(1e-4, 0.5, 60).tolist()))
+        assert signs[0] == 1.0 and np.count_nonzero(np.diff(signs)) == 1
+
+
 class TestInsertionSmallP:
     def test_reference_coefficients(self):
         c1, c2, c3, c4 = insertion_small_p_coefficients(10)
@@ -277,6 +306,15 @@ class TestInsertionSmallP:
 
     def test_error_free_channel(self):
         assert random_insertion_bound_small_p(12, 0.0).rate == 1.0
+
+    def test_finite_up_to_the_largest_block_length(self):
+        # the quartic coefficient is about -n^4/6, a finite float up to n = 2^250
+        assert all(map(math.isfinite, insertion_small_p_coefficients(2**250)))
+        for p_i in (0.0, 0.1, 1.0):
+            assert math.isfinite(random_insertion_bound_small_p(2**250, p_i).rate)
+        for n in (2**250 + 1, 2**1000):
+            with pytest.raises(ValueError, match="block length must be <= 2\\^250"):
+                insertion_small_p_coefficients(n)
 
     def test_stays_below_full_bound(self):
         for n in (5, 6, 10, 20, 50):

@@ -24,9 +24,9 @@ from helpers import (
     encode,
     enumerate_deletion_patterns,
     mp_pattern_log_weight,
+    mp_single_insertion_weight,
     run_python,
     runs_of,
-    scalar_single_insertion_sum,
     subsequence_weight,
 )
 
@@ -151,6 +151,12 @@ class TestExpectedRunCount:
             expected_run_count(5, 4)
         with pytest.raises(ValueError, match="requires an integer run length"):
             expected_run_count(2.5, 10)
+        with pytest.raises(ValueError, match="block length must be <= 2\\^1000"):
+            expected_run_count(2, 10**400)
+
+    def test_largest_block_length(self):
+        assert expected_run_count(2, 2**1000) == 2.0**997
+        assert expected_run_count(2**1000, 2**1000) == 0.0
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_exhaustive_enumeration(self, n):
@@ -266,19 +272,26 @@ class TestSingleInsertionLogWeight:
         # the linear coefficient of the n=10 small-p insertion polynomial
         assert single_insertion_log_weight(10) - 31 / 40 == pytest.approx(1.1591, rel=5e-3)
 
-    def test_kernel_is_bit_identical_to_the_scalar_sums(self):
-        ns = [*range(1, 1101), 10**6, 2**40, 10**18]
-        printed, exact = (combinatorics._single_insertion_weights(ns, flag) for flag in (False, True))
-        for n, p, e in zip(ns, printed.tolist(), exact.tolist(), strict=True):
-            expected_p = scalar_single_insertion_sum(n, lambda l: n + 1 - l)
-            expected_e = scalar_single_insertion_sum(n, lambda l: (n - l - 1) / 2.0)
-            assert (p.hex(), e.hex()) == (expected_p.hex(), expected_e.hex()), n
-            assert single_insertion_log_weight(n).hex() == expected_p.hex()
-            assert single_insertion_log_weight_exact(n).hex() == expected_e.hex()
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_kernel_against_mpmath(self, exact):
+        # 50-digit term-by-term sums; the kernel's prefix sums are each rounded once
+        ns = [*range(1, 1101), 10**6, 2**40, 10**15, 10**18, 2**1000]
+        got = combinatorics._single_insertion_weights(ns, exact).tolist()
+        weight = single_insertion_log_weight_exact if exact else single_insertion_log_weight
+        for n, value in zip(ns, got, strict=True):
+            reference = mp_single_insertion_weight(n, exact)
+            assert abs(value - reference) <= 5e-16 * reference, (n, value, reference)
+            assert weight(n) == value
 
     def test_weights_are_not_memoised(self):
         assert not hasattr(single_insertion_log_weight, "cache_info")
         assert not hasattr(single_insertion_log_weight_exact, "cache_info")
+
+    @pytest.mark.parametrize("n", [2**1000 + 1, 10**400], ids=["2^1000+1", "10^400"])
+    def test_block_length_beyond_the_largest(self, n):
+        for weight in (single_insertion_log_weight, single_insertion_log_weight_exact):
+            with pytest.raises(ValueError, match=r"block length must be <= 2\^1000, got \d+ bits"):
+                weight(n)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_block_length_below_one(self, n):

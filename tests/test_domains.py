@@ -56,8 +56,10 @@ EDGES += [np.int64(1), 2.5, "0"]
 # The deletion-family callables build arrays of length n (the binomial pmf, the log-factorials),
 # so from n = 10^8 on they run out of memory, until the pattern gain has a closed form (ROADMAP,
 # item 2); every callable is called at n = 10^4.  Those whose cost does not grow with n, and the
-# oracles, which refuse an n beyond their enumeration budget first, are also called at n = 2^62.
+# oracles, which refuse an n beyond their enumeration budget first, are also called at n = 2^62,
+# at 2^1000, the largest block length the closed forms take, and at 10^400, beyond float range.
 LARGE_N = 10**4
+HUGE_N = [2**62, 2**1000, 10**400]
 FLAT_IN_N = {
     "bounds.random_insertion_bound",
     "bounds.evaluate_bound('random_insertion_exact')",
@@ -103,7 +105,7 @@ def _edges(name: str, parameter: str) -> list:
         return EDGES + [-1, 2**128]  # a seed is any integer >= 0
     if parameter != "n":
         return EDGES
-    return EDGES + [LARGE_N] + ([2**62] if name in FLAT_IN_N else [])
+    return EDGES + [LARGE_N] + (HUGE_N if name in FLAT_IN_N else [])
 
 
 def _finite(value) -> bool:
