@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .combinatorics import _RUN_SUMS, _single_insertion_weights, mean_pattern_log_weights
+from .combinatorics import _RUN_CUT, _RUN_SUMS, _single_insertion_weights, mean_pattern_log_weights
 from .numerics import (
     _MAX_N,
     _binomial_log_pmf_vec,
@@ -115,7 +115,11 @@ def gallager_bound(params: ChannelParams) -> BoundResult:
     """Convolutional-coding achievable rate for insertion/deletion/substitution errors.
 
     1 + p_d log p_d + p_i log p_i + p_c log p_c + p_s log p_s, with
-    p_c = (1-p_d-p_i)(1-p_e) and p_s = (1-p_d-p_i) p_e.
+    p_c = (1-p_d-p_i)(1-p_e) and p_s = (1-p_d-p_i) p_e.  This is not a lower
+    bound everywhere: revealing which bits were deleted and which are
+    replacements bounds the capacity by (1-p_d-p_i)(1-h(p_e)).  With
+    p_e = p_i = 0 the formula is 1 - h(p_d), above 1 - p_d for p_d > 0.7729078
+    (0.531 at p_d = 0.9, where the capacity is at most 0.1).
     """
     return evaluate_bound("gallager", params)
 
@@ -187,13 +191,12 @@ def _small_p_components(coefficients: Callable, axis: str, axes: dict) -> dict[s
 def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
     """Coefficients of (p, p^2, p^3, p^4) in the small-p deletion polynomial."""
     n = _check_block_length("deletion_small_p", n)
-    w1, w2 = mean_pattern_log_weights(n, 1, 2).tolist()
-    return (
-        w1 - 1.0,
-        (n - 1) / 2.0 * (w2 - 2.0 * w1),
-        comb(n - 1, 2) * (w1 - w2),
-        -comb(n - 1, 3) * w1,
-    )
+    # W_1(n) and c2 = (n-1)/2 (W_2(n) - 2 W_1(n)) as run series: in c2 a run of length l adds
+    # 2^-l l(l-1) log2((l-1)/(2l)) (n+3-l)/(4n), below 0 for every l >= 2, so nothing cancels
+    s1, s2, t0, t1 = _RUN_SUMS[3:, min(n - 1, _RUN_CUT)].tolist()
+    w1 = ((n + 3) * s1 - s2) / (2 * n) + math.ldexp(math.log2(n), 1 - n)
+    c2 = ((n + 3) * t0 - t1) / (4 * n) + math.ldexp((n - 1) * math.log2((n - 1) / (2 * n)), -n)
+    return (w1 - 1.0, c2, -comb(n - 1, 2) * w1 - (n - 2) * c2, -comb(n - 1, 3) * w1)
 
 
 def deletion_bound_small_p(n: int, p_d: float) -> BoundResult:

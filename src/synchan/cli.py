@@ -264,7 +264,7 @@ def _cmd_verify(args) -> int:
     for scope in (s for s in _SCOPES if s in scopes):
         began = time.perf_counter()
         if scope == "properties":
-            results[scope] = verification.run_property_checks(args.seed)
+            results[scope] = verification.run_property_checks()
         elif scope == "oracle":
             results[scope] = verification.run_oracle_checks()
         elif scope == "chains":

@@ -1,4 +1,4 @@
-"""Deletion patterns and the run-combinatoric weight sums the bounds are built on."""
+"""Run counts and the run-combinatoric weight sums the bounds are built on."""
 
 from __future__ import annotations
 
@@ -16,16 +16,6 @@ __all__ = [
     "single_insertion_log_weight",
     "single_insertion_log_weight_exact",
 ]
-
-
-def _deletion_patterns(runs: Sequence[int]) -> np.ndarray:
-    """Every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, one row each.
-
-    The prod(n_k + 1) rows, whatever the number of deletions, are in
-    lexicographic order.
-    """
-    sizes = [r + 1 for r in runs]
-    return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
 
 
 def expected_run_count(l: int, n: int) -> float:
@@ -127,12 +117,16 @@ _RUN_CUT = 128  # longer runs add below 2^-_RUN_CUT (_RUN_CUT + 3)^2 < 2^-113 of
 
 
 def _run_prefix_sums() -> np.ndarray:
-    """Rows F0, F1, B, S: at m = 0.._RUN_CUT, one fsum over l = 1..m of 2^-l (l+2) log2(l+2),
-    l times that, 2^-l 2 (l+1) log2(l+1) and 2^-l l log2(l)."""
+    """Rows F0, F1, B, S1, S2, T0, T1: at m = 0.._RUN_CUT, one fsum over l = 1..m of
+    2^-l (l+2) log2(l+2), l times that, 2^-l 2 (l+1) log2(l+1), 2^-l l log2(l), l times that,
+    2^-l l (l-1) log2((l-1)/(2l)) and l times that."""
     x_log2_x = np.array([0.0] + [x * math.log2(x) for x in range(1, _RUN_CUT + 3)])
     l = np.arange(1, _RUN_CUT + 1)
     f0 = np.ldexp(x_log2_x[l + 2], -l)
-    rows = np.array([f0, l * f0, np.ldexp(x_log2_x[l + 1], 1 - l), np.ldexp(x_log2_x[l], -l)]).tolist()
+    s1 = np.ldexp(x_log2_x[l], -l)
+    pairs = [0.0] + [x * (x - 1) * math.log2((x - 1) / (2 * x)) for x in range(2, _RUN_CUT + 1)]
+    t0 = np.ldexp(pairs, -l)
+    rows = np.array([f0, l * f0, np.ldexp(x_log2_x[l + 1], 1 - l), s1, l * s1, t0, l * t0]).tolist()
     return np.array([[math.fsum(row[:m]) for m in range(_RUN_CUT + 1)] for row in rows])
 
 

@@ -54,8 +54,9 @@ SURVIVOR_N_MAX = 8
 # the looped checks feed their trials in chunks of at most this many input bits
 _CHUNK_ELEMENTS = 1 << 16
 
-DELETION_GRID_N = range(1, 9)
-INSERTION_GRID_N = range(1, 7)
+# the oracle and chain scopes enumerate every block length the oracles take
+DELETION_GRID_N = range(1, oracle.MAX_DELETION_ENTROPY_N + 1)
+INSERTION_GRID_N = range(1, oracle.MAX_INSERTION_N + 1)
 DELETION_GRID_P = (0.01, 0.1, 0.3)
 SUBSTITUTION_GRID_P = (0.0, 0.05)
 INSERTION_GRID_P = (0.01, 0.1, 0.3)
@@ -82,42 +83,14 @@ def _check(name: str, passed: bool, detail: str) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def _random_run_profile(gen, n: int) -> tuple[int, ...]:
-    lengths = []
-    remaining = n
-    while remaining:
-        r = int(gen.integers(1, remaining + 1))
-        lengths.append(r)
-        remaining -= r
-    return tuple(lengths)
+def run_property_checks(seed: int | None = None) -> list[Check]:
+    """Run-count identities, survivor row sums, law normalization.
 
-
-def run_property_checks(seed: int = 7) -> list[Check]:
-    """Vandermonde pattern counts, run-count identities, law normalization."""
+    The checks draw nothing, so ``seed`` is ignored; it stays only because
+    ``bench/child.py`` passes it.
+    """
     checks = []
-    gen = RngState(seed).generator
-
-    worst = 0
-    sizes = range(PROPERTY_N_MAX + 1)
-    pascal = np.array([[comb(a, b) for b in sizes] for a in sizes])
-    for n in range(1, PROPERTY_N_MAX + 1):
-        profiles = {(n,), tuple([1] * n), _random_run_profile(gen, n), _random_run_profile(gen, n)}
-        for runs in profiles:
-            # sum over the patterns of each d of the product of C(n_k, d_k)
-            patterns = combinatorics._deletion_patterns(runs)
-            terms = pascal[runs, patterns].prod(axis=1)
-            totals = np.bincount(patterns.sum(axis=1), weights=terms, minlength=n + 1)
-            worst = max(worst, int(np.abs(totals - pascal[n, : n + 1]).max()))
-    checks.append(
-        _check(
-            "vandermonde_pattern_counts",
-            worst == 0,
-            f"max |sum - C(n,d)| = {worst} over n <= {PROPERTY_N_MAX}",
-        )
-    )
-
     worst_count = 0.0
-    worst_len = 0.0
     for n in range(1, PROPERTY_N_MAX + 1):
         # a run of an input ends where the next bit differs or the block ends; every
         # row ends one at its last bit, so in row-major order run ends are a run apart
@@ -128,20 +101,11 @@ def run_property_checks(seed: int = 7) -> list[Check]:
         for l in range(1, n + 1):
             expected = combinatorics.expected_run_count(l, n) * (1 << n)
             worst_count = max(worst_count, abs(totals[l] - expected))
-        length_sum = sum(combinatorics.expected_run_count(l, n) * l for l in range(1, n + 1))
-        worst_len = max(worst_len, abs(length_sum - n))
     checks.append(
         _check(
             "expected_run_count_enumeration",
             worst_count < 1e-9,
             f"max count deviation {worst_count:.2e} over n <= {PROPERTY_N_MAX}",
-        )
-    )
-    checks.append(
-        _check(
-            "run_lengths_partition_block",
-            worst_len < 1e-9,
-            f"max |sum_l l*E_l - n| = {worst_len:.2e}",
         )
     )
 
@@ -505,10 +469,11 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
 
     samples = max(100_000, int(AWGN_MC_SAMPLES * scale))
     mc = oracle.mc_awgn_entropy_check(1.0, samples=samples, seed=seed + 17)
+    # the deviation in standard errors is a normal statistic, tested as bsc_flip_rate's z
     checks.append(
         _check(
             "awgn_quadrature_vs_mc",
-            mc.holds,
+            _chi2_tail(mc.deviation_sigmas**2, 1) >= SIGNIFICANCE,
             f"|estimate - closed form| = {mc.deviation_sigmas:.2f} std errors over {samples} samples",
         )
     )

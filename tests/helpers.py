@@ -3,10 +3,10 @@
 The brute-force helpers are deliberately written in the most direct way
 possible (string enumeration, integer counting, mpmath sums) so they stay
 independent of the library code they check.  The reference code at the end
-(run-length coding, per-run deletion patterns, the deletion-AWGN pattern
-mixture, the small-p deletion capacity expansion, and the earlier float and
-reshape forms of two oracle kernels, which the kernels must match bit for
-bit) is what only the tests call.  ``run_python`` runs code in a fresh
+(run-length coding, per-run deletion patterns, random run profiles, the
+deletion-AWGN pattern mixture, the small-p deletion capacity expansion, and
+the earlier float and reshape forms of two oracle kernels, which the kernels
+must match bit for bit) is what only the tests call.  ``run_python`` runs code in a fresh
 interpreter.
 """
 
@@ -27,7 +27,7 @@ import synchan
 from synchan import oracle
 from synchan.bounds import capacity_expansion_constant
 from synchan.channels import RngState
-from synchan.combinatorics import _RUN_WEIGHT_FLOOR, _deletion_patterns
+from synchan.combinatorics import _RUN_WEIGHT_FLOOR
 from synchan.numerics import LN2, binary_entropy
 from synchan.oracle import OracleResourceError
 
@@ -265,6 +265,41 @@ def mp_single_insertion_weight(n, exact=False, run_cut=200, digits=50):
         return total / (4 * n) + mpmath.ldexp(mpmath.log(n, 2), -(n + 1))
 
 
+def mp_deletion_small_p_coefficients(n, digits=50):
+    """The small-p deletion coefficients of (p, p^2, p^3, p^4) from W_1(n) and W_2(n) in mpmath, as mpfs.
+
+    W_j(n) is E_n(n) log2 C(n, j) plus the sum over l < n of E_l(n), the mean
+    number of runs of length l, times the mean log2 C(l, j') of the j' of j
+    uniform deletions that land in a run of length l (hypergeometric).  The
+    coefficients are W_1 - 1, (n-1)/2 (W_2 - 2 W_1), C(n-1, 2)(W_1 - W_2) and
+    -C(n-1, 3) W_1.  W_2 - 2 W_1 is of order 1/n, so the sums carry
+    2 log10(n) more digits than ``digits``.  Runs longer than
+    L = 200 + log2(n) are dropped: W_1 and W_2 lose below 2^-L L^2 each,
+    which moves c2 by below 1e-50.
+    """
+    dps = digits + 2 * len(str(n)) + 10
+    logs = _mp_run_logs(200 + n.bit_length(), dps)[: n - 1]
+    with mpmath.workdps(dps):
+        two, pairs = mpmath.mpf(2), mpmath.mpf(comb(n, 2))
+        runs = [two ** (-l - 1) * (n - l + 3) for l in range(1, len(logs) + 1)]
+        # one deletion in the run, with probability l/n, or of two, one with l(n - l)/C(n, 2)
+        # and both with C(l, 2)/C(n, 2)
+        w1 = mpmath.fdot(runs, [l * log_l for l, (log_l, _) in enumerate(logs, 1)]) / n
+        w2 = mpmath.fdot(runs, [l * (n - l) * log_l + both for l, (log_l, both) in enumerate(logs, 1)])
+        w2 /= pairs
+        w1 += two ** (1 - n) * mpmath.log(n, 2)
+        w2 += two ** (1 - n) * mpmath.log(pairs, 2)
+        return w1 - 1, (n - 1) * (w2 - 2 * w1) / 2, comb(n - 1, 2) * (w1 - w2), -comb(n - 1, 3) * w1
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_run_logs(run_cut, dps):
+    """(log2 l, C(l, 2) log2 C(l, 2)) for l = 1..run_cut, in mpmath at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        pairs = [comb(l, 2) for l in range(1, run_cut + 1)]
+        return tuple((mpmath.log(l, 2), k * mpmath.log(max(k, 1), 2)) for l, k in enumerate(pairs, 1))
+
+
 @dataclass(frozen=True)
 class RunLengthSequence:
     """A binary sequence as (b; n_1, ..., n_K): first-run symbol plus run lengths.
@@ -307,15 +342,36 @@ def encode(bits):
     return RunLengthSequence(bits[0], tuple(lengths))
 
 
+def deletion_patterns(runs):
+    """Every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, one row each.
+
+    The prod(n_k + 1) rows, whatever the number of deletions, are in
+    lexicographic order.
+    """
+    sizes = [r + 1 for r in runs]
+    return np.indices(sizes).reshape(len(sizes), math.prod(sizes)).T
+
+
+def random_run_profile(gen, n):
+    """The run lengths of an n-bit block, each drawn uniformly from 1 to the bits left."""
+    lengths = []
+    remaining = n
+    while remaining:
+        r = int(gen.integers(1, remaining + 1))
+        lengths.append(r)
+        remaining -= r
+    return tuple(lengths)
+
+
 def enumerate_deletion_patterns(runs, d):
     """Yield every per-run deletion pattern (d_1, ..., d_K), 0 <= d_k <= n_k, summing to d.
 
-    The patterns are the rows of the property scope's kernel, in its order.
+    The patterns are the rows of :func:`deletion_patterns`, in its order.
     """
     runs = tuple(runs)
     if d < 0 or d > sum(runs):
         raise ValueError(f"d must lie in [0, {sum(runs)}], got {d}")
-    patterns = _deletion_patterns(runs)
+    patterns = deletion_patterns(runs)
     yield from map(tuple, patterns[patterns.sum(axis=1) == d].tolist())
 
 

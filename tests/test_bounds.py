@@ -39,6 +39,7 @@ from synchan.reference_tables import OPTIMIZE_N_MAX, table2_diffs
 from helpers import (
     brute_mean_pattern_log_weight,
     capacity_expansion_deletion,
+    mp_deletion_small_p_coefficients,
     mp_pattern_gain,
     mp_pattern_log_weight,
     scalar_insertion_rate,
@@ -193,6 +194,16 @@ class TestDeletionBound:
         c = deletion_small_p_coefficients(10)
         assert c[0] == pytest.approx(w1 - 1.0, abs=1e-10)
 
+    def test_small_p_coefficients_against_a_50_digit_reference(self):
+        # formed from W_1 and W_2, c2 = (n-1)/2 (W_2 - 2 W_1) loses its digits to cancellation,
+        # 35% of them at n = 10^7; c1 = W_1 - 1 passes through 0, so it is held to an absolute bound
+        for n in [*range(4, 1200), 10**4, 10**6, 10**7, 10**9, 10**15, 10**18, 2**60, 2**250]:
+            c1, *rest = deletion_small_p_coefficients(n)
+            ref1, *ref_rest = mp_deletion_small_p_coefficients(n)
+            assert abs(c1 - ref1) <= 5e-16, n
+            for got, want in zip(rest, ref_rest):
+                assert abs(got - want) <= 5e-16 * abs(want), n
+
     def test_small_p_requires_n_of_4(self):
         with pytest.raises(ValueError):
             deletion_bound_small_p(3, 0.01)
@@ -293,6 +304,30 @@ class TestInsertionGallagerCrossover:
         assert root == pytest.approx(crossover, abs=1e-6)
         # the bound helps below the crossover, and only there
         signs = np.sign(self._gains(method, np.geomspace(1e-4, 0.5, 60).tolist()))
+        assert signs[0] == 1.0 and np.count_nonzero(np.diff(signs)) == 1
+
+
+class TestDeletionGallagerCrossover:
+    """Where the deletion-family rate at n = 10^4 stops beating Gallager's, and where it drops below 0."""
+
+    N = 10**4
+
+    @classmethod
+    def _gain(cls, p_d):
+        # pattern_gain - p_d: both rates subtract the same substitution term, so it holds at any p_e
+        return deletion_bound(cls.N, p_d).rate - gallager_bound(ChannelParams.deletion(p_d)).rate
+
+    @classmethod
+    def _rate(cls, p_d):
+        return deletion_bound(cls.N, p_d).rate
+
+    @pytest.mark.parametrize("name, crossover, hi", [("_gain", 0.20945020, 0.5), ("_rate", 0.35119418, 0.99)])
+    def test_one_crossover(self, name, crossover, hi):
+        f = getattr(self, name)
+        root = brentq(f, 1e-4, hi, xtol=1e-12)
+        assert root == pytest.approx(crossover, abs=1e-6)
+        # positive below the crossover, and only there
+        signs = np.sign([f(p_d) for p_d in np.geomspace(1e-4, hi, 30).tolist()])
         assert signs[0] == 1.0 and np.count_nonzero(np.diff(signs)) == 1
 
 
@@ -541,7 +576,9 @@ def test_a_numpy_integer_block_length_is_an_int(call):
 
 
 # float.hex of each method"s rate and components at two points, as computed
-# before every rate, optimum and one-point bound came from one component grid
+# before every rate, optimum and one-point bound came from one component grid; the
+# deletion_small_p components as re-pinned when its coefficients came in closed form,
+# each nearer a 50-digit reference than before, with the rates unchanged
 _PINNED = [
     (
         "gallager",
@@ -673,10 +710,10 @@ _PINNED = [
         {
             "base": "0x1.0000000000000p+0",
             "block_entropy_penalty": "-0x1.4aedbe46a0a77p-4",
-            "linear": "0x1.2b7e9f9d68dcdp-10",
-            "quadratic": "-0x1.f6f7f2b31de9bp-14",
-            "cubic": "-0x1.0004468508107p-15",
-            "quartic": "-0x1.f67e8588bc7dbp-21",
+            "linear": "0x1.2b7e9f9d68e00p-10",
+            "quadratic": "-0x1.f6f7f2b31ded7p-14",
+            "cubic": "-0x1.0004468508104p-15",
+            "quartic": "-0x1.f67e8588bc7e4p-21",
         },
     ),
     (
@@ -687,10 +724,10 @@ _PINNED = [
         {
             "base": "0x1.0000000000000p+0",
             "block_entropy_penalty": "-0x1.75cf353398570p-7",
-            "linear": "0x1.1c450d7b7ce94p-12",
-            "quadratic": "-0x1.7b0db3b62fb6bp-20",
-            "cubic": "-0x1.948388e46abcep-18",
-            "quartic": "-0x1.ac254d0de7224p-23",
+            "linear": "0x1.1c450d7b7cce1p-12",
+            "quadratic": "-0x1.7b0db3b636b44p-20",
+            "cubic": "-0x1.948388e46a88ap-18",
+            "quartic": "-0x1.ac254d0de7198p-23",
         },
     ),
     (

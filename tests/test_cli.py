@@ -401,16 +401,24 @@ class TestVerifyCommand:
         payload = json.loads(out)
         # every failure is an insertion-side chain check of the recorded
         # insertion-weight defect; the deletion side and all other scopes are clean
-        assert len(payload["failures"]) == 32
+        assert len(payload["failures"]) == 40
         assert all(name.startswith("chains:insertion_") for name in payload["failures"])
         assert payload["known_failures"] == payload["failures"]
 
-    def test_seed_reaches_the_property_scope(self, capsys, monkeypatch):
-        seeds = []
-        monkeypatch.setattr(verification, "run_property_checks", lambda seed: seeds.append(seed) or [])
+    def test_seed_reaches_only_the_simulator_scope(self, capsys, monkeypatch):
+        # the property checks draw nothing, so they are called without it
+        calls = []
+        for name in ("run_property_checks", "run_simulator_checks"):
+            monkeypatch.setattr(verification, name, lambda *args, name=name: calls.append((name, args)) or [])
         for seed in ("3", "11"):
-            assert run_cli(capsys, "verify", "--scope", "properties", "--seed", seed)[0] == 0
-        assert seeds == [3, 11]
+            args = ["verify", "--scope", "properties", "--scope", "simulators", "--seed", seed]
+            assert run_cli(capsys, *args)[0] == 0
+        assert calls == [
+            ("run_property_checks", ()),
+            ("run_simulator_checks", (3, 1.0)),
+            ("run_property_checks", ()),
+            ("run_simulator_checks", (11, 1.0)),
+        ]
 
     def test_seeded_runs_are_reproducible(self, capsys):
         args = ["verify", "--scope", "simulators", "--seed", "7", "--mc-samples", "20000", "--json"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from synchan import combinatorics, verification
+from synchan import combinatorics
 from synchan.channels import RngState
 from synchan.combinatorics import (
     expected_run_count,
@@ -21,10 +21,12 @@ from helpers import (
     brute_mean_pattern_log_weight,
     brute_single_insertion_log_weight,
     brute_subsequence_counts,
+    deletion_patterns,
     encode,
     enumerate_deletion_patterns,
     mp_pattern_log_weight,
     mp_single_insertion_weight,
+    random_run_profile,
     run_python,
     runs_of,
     subsequence_weight,
@@ -88,13 +90,14 @@ def recursive_deletion_patterns(runs, d):
 
 
 def property_scope_profiles(n_max=12):
-    """The run profiles the property scope draws at its default seed, and more, up to n_max."""
+    """Per n <= n_max: one run, n unit runs and two profiles drawn at seed 7; then every
+    profile of n <= 8 bits."""
     gen = RngState(7).generator
     for n in range(1, n_max + 1):
         yield (n,)
         yield (1,) * n
-        yield verification._random_run_profile(gen, n)
-        yield verification._random_run_profile(gen, n)
+        yield random_run_profile(gen, n)
+        yield random_run_profile(gen, n)
     for n in range(1, 9):
         yield from {tuple(runs_of(bits)) for bits in all_bit_strings(n)}
 
@@ -110,7 +113,7 @@ class TestEnumeratePatterns:
 
     def test_kernel_rows_are_every_pattern_once(self):
         for runs in property_scope_profiles():
-            patterns = combinatorics._deletion_patterns(runs)
+            patterns = deletion_patterns(runs)
             assert patterns.shape == (math.prod(r + 1 for r in runs), len(runs))
             assert np.unique(patterns, axis=0).shape == patterns.shape
             assert (patterns >= 0).all() and (patterns <= runs).all()

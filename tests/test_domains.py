@@ -53,7 +53,7 @@ VALID = {
 EDGES = [0, 1, 5e-324, 1 - 2**-53, 1 + 2**-52, -0.0, math.nan, math.inf, -math.inf, True]
 EDGES += [np.int64(1), 2.5, "0"]
 
-# The deletion-family callables build arrays of length n (the binomial pmf, the log-factorials),
+# The callables that read the pattern gain build arrays of length n (the binomial pmf, the log-factorials),
 # so from n = 10^8 on they run out of memory, until the pattern gain has a closed form (ROADMAP,
 # item 2); every callable is called at n = 10^4.  Those whose cost does not grow with n, and the
 # oracles, which refuse an n beyond their enumeration budget first, are also called at n = 2^62,
@@ -61,6 +61,8 @@ EDGES += [np.int64(1), 2.5, "0"]
 LARGE_N = 10**4
 HUGE_N = [2**62, 2**1000, 10**400]
 FLAT_IN_N = {
+    "bounds.deletion_bound_small_p",
+    "bounds.deletion_small_p_coefficients",
     "bounds.random_insertion_bound",
     "bounds.evaluate_bound('random_insertion_exact')",
     "bounds.random_insertion_bound_small_p",

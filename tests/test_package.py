@@ -166,3 +166,38 @@ def test_a_failing_hypothesis_test_is_reported_as_a_failure(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     assert "FAILED test_fails.py::test_fails" in result.stdout
     assert "INTERNALERROR" not in result.stdout + result.stderr
+
+
+def _references(tree, name: str) -> bool:
+    """Whether ``tree`` reads ``name``, as a bare name or as an attribute."""
+    return any(
+        (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == name
+        for node in ast.walk(tree)
+    )
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    # code whose only caller is a test belongs in tests/helpers.py, not in the package
+    tops = [
+        (path.stem, top)
+        for path in sorted((ROOT / "src" / "synchan").glob("*.py"))
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    private = [
+        (module, top)
+        for module, top in tops
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name.startswith("_")
+    ]
+    uncalled = [
+        f"{module}.{definition.name}"
+        for module, definition in private
+        if not any(top is not definition and _references(top, definition.name) for _, top in tops)
+    ]
+    assert uncalled == []
+
+
+def test_readme_counts_the_recorded_chain_failures():
+    recorded = json.loads((ROOT / "tests" / "verify_verdicts.json").read_text(encoding="utf-8"))
+    failing = sum(not passed for _, passed, _ in recorded["run_chain_checks()"])
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"`synchan verify` fails (\d+) chain checks", readme) == [str(failing)]

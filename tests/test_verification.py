@@ -10,7 +10,7 @@ from synchan import oracle, verification
 RECORDED = json.loads((Path(__file__).parent / "verify_verdicts.json").read_text())
 
 SCOPES = {
-    "run_property_checks(seed=7)": lambda: verification.run_property_checks(seed=7),
+    "run_property_checks()": verification.run_property_checks,
     "run_oracle_checks((3, 6, 9, 12), (3, 6, 9))": lambda: verification.run_oracle_checks(
         (3, 6, 9, 12), (3, 6, 9)
     ),
@@ -69,10 +69,27 @@ def test_survivor_row_sum_check_sees_one_miscounted_keep_set(monkeypatch):
     assert checks["deletion_survivor_row_sums"] is False
 
 
+def test_property_checks_ignore_the_seed():
+    # they draw nothing; bench/child.py still passes one
+    assert verification.run_property_checks(seed=3) == verification.run_property_checks()
+
+
+@pytest.mark.parametrize("deviation, passed", [(3.2, True), (3.35, False), (3.9, False)])
+def test_awgn_quadrature_check_decides_at_the_significance_level(monkeypatch, deviation, passed):
+    # a deviation in standard errors passes where its two-sided normal p-value is at least
+    # SIGNIFICANCE, |z| <= 3.2905 at 1e-3, as for every other simulator check
+    monkeypatch.setattr(
+        oracle, "mc_awgn_entropy_check", lambda *args, **kwargs: oracle.McCheck(1.0, 1.0, 0.1, deviation)
+    )
+    check = {c.name: c for c in verification.run_simulator_checks(scale=1e-3)}["awgn_quadrature_vs_mc"]
+    assert check.passed is passed
+    assert check.detail == f"|estimate - closed form| = {deviation:.2f} std errors over 100000 samples"
+
+
 def test_every_recorded_chain_failure_is_the_known_insertion_weight_defect():
     checks = [verification.Check(*row) for row in RECORDED["run_chain_checks()"]]
     failing = [c for c in checks if not c.passed]
-    assert len(failing) == 32
+    assert len(failing) == 40
     assert all(verification._recorded_defect("chains", c) for c in failing)
     assert not any(verification._recorded_defect("chains", c) for c in checks if c.passed)
 
