@@ -341,6 +341,15 @@ def _chunked(simulate, block: Sequence[int], trials: int, *args):
         yield simulate(np.tile(np.uint8(block), (min(rows, trials - start), 1)), *args)
 
 
+def _length_law(simulate, block: Sequence[int], trials: int, law: np.ndarray, *args) -> float:
+    """Chi-square p-value of the output lengths of ``trials`` copies of ``block`` against ``law``,
+    the probability of each output length 0, 1, ..."""
+    lengths = np.zeros(law.size, dtype=np.int64)
+    for _, sizes in _chunked(simulate, block, trials, *args):
+        lengths += np.bincount(sizes, minlength=law.size)
+    return _chi_square(lengths, law * trials)
+
+
 def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check]:
     """Distributional tests of the four channel simulators with fixed seeds.
 
@@ -351,36 +360,25 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     checks = []
+
+    def decide(name: str, pvalue: float, detail: str) -> None:
+        checks.append(_check(name, pvalue >= SIGNIFICANCE, detail))
+
     streams = RngState(seed).split(6)
 
+    # a block of n bits keeps Binomial(n, 1 - p_d) of them
     trials = max(1000, int(DELETION_TRIALS * scale))
+    law = _binomial_pmf(DELETION_BLOCK, 1 - DELETION_P)
     bits = [0, 1] * (DELETION_BLOCK // 2)
-    lengths = np.zeros(DELETION_BLOCK + 1, dtype=np.int64)
-    for _, survivors in _chunked(channels.simulate_deletion, bits, trials, DELETION_P, streams[0]):
-        lengths += np.bincount(survivors, minlength=DELETION_BLOCK + 1)
-    pvalue = _chi_square(lengths, _binomial_pmf(DELETION_BLOCK, 1 - DELETION_P) * trials)
-    checks.append(
-        _check(
-            "deletion_survivor_count_law",
-            pvalue >= SIGNIFICANCE,
-            f"chi-square p = {pvalue:.4g} over {trials} trials",
-        )
-    )
+    pvalue = _length_law(channels.simulate_deletion, bits, trials, law, DELETION_P, streams[0])
+    decide("deletion_survivor_count_law", pvalue, f"chi-square p = {pvalue:.4g} over {trials} trials")
 
     nbits = max(1000, int(BSC_BITS * scale))
-    flips = int(
-        (channels.simulate_bsc(np.zeros(nbits, dtype=np.uint8), BSC_P, streams[1]) == 1).sum()
-    )
+    flips = int((channels.simulate_bsc(np.zeros(nbits, dtype=np.uint8), BSC_P, streams[1]) == 1).sum())
     z = abs(flips - nbits * BSC_P) / math.sqrt(nbits * BSC_P * (1 - BSC_P))
     # a two-sided normal test is a chi-square test of z^2 with one degree of freedom
     pvalue = _chi2_tail(z * z, 1)
-    checks.append(
-        _check(
-            "bsc_flip_rate",
-            pvalue >= SIGNIFICANCE,
-            f"|z| = {z:.3f}, p = {pvalue:.4g} over {nbits} bits",
-        )
-    )
+    decide("bsc_flip_rate", pvalue, f"|z| = {z:.3f}, p = {pvalue:.4g} over {nbits} bits")
 
     # with an all-zeros input the survivor count and flip count are both
     # readable straight off the output, so the joint law is fully observable
@@ -396,13 +394,7 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     for m in range(block + 1):
         expected[m, : m + 1] = trials * length_pmf[m] * _binomial_pmf(m, JOINT_P_E)
     pvalue = _chi_square(joint.ravel(), expected.ravel())
-    checks.append(
-        _check(
-            "deletion_substitution_joint_law",
-            pvalue >= SIGNIFICANCE,
-            f"chi-square p = {pvalue:.4g} over {trials} trials",
-        )
-    )
+    decide("deletion_substitution_joint_law", pvalue, f"chi-square p = {pvalue:.4g} over {trials} trials")
 
     # an all-ones input maps to the constant -1 vector, so the received
     # samples shifted by +1 are exactly the noise draws
@@ -412,13 +404,8 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     z_mean = abs(noise.mean()) / (NOISE_SIGMA / math.sqrt(nsamp))
     var_stat = noise.var() * nsamp / NOISE_SIGMA**2
     pvalue = min(_chi2_tail(z_mean * z_mean, 1), _chi2_two_sided(var_stat, nsamp - 1))
-    checks.append(
-        _check(
-            "awgn_noise_moments",
-            pvalue >= SIGNIFICANCE,
-            f"|z_mean| = {z_mean:.3f}, scaled var stat {var_stat:.1f}, p = {pvalue:.4g}",
-        )
-    )
+    detail = f"|z_mean| = {z_mean:.3f}, scaled var stat {var_stat:.1f}, p = {pvalue:.4g}"
+    decide("awgn_noise_moments", pvalue, detail)
 
     n_in = max(1000, int(KS_INPUT_BITS * scale))
     x = streams[4].generator.integers(0, 2, size=n_in, dtype=np.uint8)
@@ -430,52 +417,28 @@ def run_simulator_checks(seed: int = 20250809, scale: float = 1.0) -> list[Check
     cdf = np.array(cdf) / 4
     ranks = np.arange(received.size + 1) / received.size
     ks_p = _ks_pvalue(max((ranks[1:] - cdf).max(), (cdf - ranks[:-1]).max()), received.size)
-    checks.append(
-        _check(
-            "awgn_marginal_density",
-            ks_p >= SIGNIFICANCE,
-            f"KS p = {ks_p:.4g} over {received.size} outputs",
-        )
-    )
+    decide("awgn_marginal_density", ks_p, f"KS p = {ks_p:.4g} over {received.size} outputs")
 
+    # a block of n bits gains Binomial(n, p_i) bits, one per insertion event
     trials = max(1000, int(INSERTION_TRIALS * scale))
-    bits_ins = [0, 1] * (INSERTION_BLOCK // 2)
-    counts = np.zeros(INSERTION_BLOCK + 1, dtype=np.int64)
+    law = np.pad(_binomial_pmf(INSERTION_BLOCK, INSERTION_P), (INSERTION_BLOCK, 0))
+    bits = [0, 1] * (INSERTION_BLOCK // 2)
     simulate = channels.simulate_gallager_insertion
-    for _, sizes in _chunked(simulate, bits_ins, trials, INSERTION_P, streams[5]):
-        counts += np.bincount(sizes - INSERTION_BLOCK, minlength=INSERTION_BLOCK + 1)
-    pvalue = _chi_square(counts, _binomial_pmf(INSERTION_BLOCK, INSERTION_P) * trials)
-    checks.append(
-        _check(
-            "insertion_event_count_law",
-            pvalue >= SIGNIFICANCE,
-            f"chi-square p = {pvalue:.4g} over {trials} trials",
-        )
-    )
+    pvalue = _length_law(simulate, bits, trials, law, INSERTION_P, streams[5])
+    decide("insertion_event_count_law", pvalue, f"chi-square p = {pvalue:.4g} over {trials} trials")
 
     trials = max(1000, int(SINGLE_BIT_TRIALS * scale))
     pair_counts = np.zeros(4, dtype=np.int64)
     for out, sizes in _chunked(simulate, [1], trials, 0.5, streams[5]):
         first = (np.cumsum(sizes) - sizes)[sizes == 2]
         pair_counts += np.bincount(2 * out[first] + out[first + 1], minlength=4)
-    pvalue = _chi_square(pair_counts, np.full(4, pair_counts.sum() / 4.0))
-    checks.append(
-        _check(
-            "insertion_replacement_uniformity",
-            pvalue >= SIGNIFICANCE,
-            f"chi-square p = {pvalue:.4g} over {int(pair_counts.sum())} events",
-        )
-    )
+    events = int(pair_counts.sum())
+    pvalue = _chi_square(pair_counts, np.full(4, events / 4.0))
+    decide("insertion_replacement_uniformity", pvalue, f"chi-square p = {pvalue:.4g} over {events} events")
 
     samples = max(100_000, int(AWGN_MC_SAMPLES * scale))
     mc = oracle.mc_awgn_entropy_check(1.0, samples=samples, seed=seed + 17)
     # the deviation in standard errors is a normal statistic, tested as bsc_flip_rate's z
-    checks.append(
-        _check(
-            "awgn_quadrature_vs_mc",
-            _chi2_tail(mc.deviation_sigmas**2, 1) >= SIGNIFICANCE,
-            f"|estimate - closed form| = {mc.deviation_sigmas:.2f} std errors over {samples} samples",
-        )
-    )
+    detail = f"|estimate - closed form| = {mc.deviation_sigmas:.2f} std errors over {samples} samples"
+    decide("awgn_quadrature_vs_mc", _chi2_tail(mc.deviation_sigmas**2, 1), detail)
     return checks
-

@@ -170,13 +170,26 @@ class TestDeletionBound:
     def test_no_deletions(self):
         assert deletion_bound(123, 0.0).rate == 1.0
 
-    def test_small_p_relaxation_stays_below(self):
-        for n in (4, 10, 50):
-            for p in np.linspace(0.0, 0.2, 41):
-                assert (
-                    deletion_bound_small_p(n, float(p)).rate
-                    <= deletion_bound(n, float(p)).rate + 1e-12
-                )
+    @pytest.mark.parametrize(
+        "n, grid", [(n, "linear") for n in (4, 10, 50)] + [(n, "log") for n in (*range(4, 60), 100)]
+    )
+    def test_small_p_relaxation_stays_below(self, n, grid):
+        ps = np.linspace(0.0, 0.2, 41) if grid == "linear" else np.geomspace(1e-6, 0.5, 40)
+        for p in ps:
+            assert deletion_bound_small_p(n, float(p)).rate <= deletion_bound(n, float(p)).rate + 1e-12
+
+    @pytest.mark.parametrize(
+        "n, p, rel",
+        [(n, 1e-4, 1e-2) for n in (*range(4, 60), 100)] + [(6, 1e-4, 1e-3), (10, 1e-4, 1e-3), (100, 1e-5, 1e-3)],
+    )
+    def test_small_p_relaxation_drops_the_gain_of_three_deletions(self, n, p, rel):
+        # the relaxation keeps the terms of zero, one and two deletions exactly, so the two agree
+        # through p^2 and (full - relaxation)/p^3 tends to the three-deletion gain C(n,3) W_3(n)/n:
+        # 5.90072 against 5.89982 at n = 6, 30.7097 against 30.7003 at n = 10 (p = 1e-4), and
+        # 6030.07 against 6028.04 at n = 100 (p = 1e-5)
+        gap = (deletion_bound(n, p).rate - deletion_bound_small_p(n, p).rate) / p**3
+        cubic = math.comb(n, 3) * mean_pattern_log_weight(n, 3) / n
+        assert gap == pytest.approx(cubic, rel=rel)
 
     def test_small_p_polynomial_against_enumerated_weights(self):
         w1 = brute_mean_pattern_log_weight(10, 1)
@@ -351,6 +364,17 @@ class TestInsertionSmallP:
             with pytest.raises(ValueError, match="block length must be <= 2\\^250"):
                 insertion_small_p_coefficients(n)
 
+    def test_exceeds_the_printed_bound_at_n4(self):
+        # a recorded defect (README): at its smallest block length the relaxation is above the
+        # printed bound by a p^3 term, at most 3.50e-6 near p_i = 0.028; from n = 5 on it is below
+        excess = [
+            random_insertion_bound_small_p(4, p).rate - random_insertion_bound(4, p).rate
+            for p in (1e-3, 0.028, 0.037)
+        ]
+        assert all(e > 0.0 for e in excess)
+        assert excess[1] == pytest.approx(3.50e-6, abs=5e-9)
+        assert random_insertion_bound_small_p(4, 0.04).rate < random_insertion_bound(4, 0.04).rate
+
     def test_stays_below_full_bound(self):
         for n in (5, 6, 10, 20, 50):
             for p in np.linspace(0.0, 0.1, 41):
@@ -446,6 +470,15 @@ class TestCapacityExpansion:
         series = math.fsum(2.0 ** (-l - 1) * l * math.log2(l) for l in range(2, 501))
         reference = math.log2(2.0 * math.e) - series
         assert capacity_expansion_constant() == pytest.approx(reference, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 10**4])
+    @pytest.mark.parametrize("p", [1e-6, 1e-7])
+    def test_deletion_bound_is_first_order_tight(self, n, p):
+        # rate(n, p) = 1 + p log2 p - (A1 + c/n) p + O(p^2), with c/n the gap of W_1(n) to its
+        # limit (criterion 5): as n -> infinity the bound has the capacity's first-order expansion
+        c = math.fsum(2.0 ** (-l - 1) * (l - 3) * l * math.log2(l) for l in range(2, 501))
+        slope = (deletion_bound(n, p).rate - 1.0 - p * math.log2(p)) / p
+        assert abs(slope + capacity_expansion_constant() + c / n) <= 2 * p
 
     def test_perfect_channel_limit(self):
         assert capacity_expansion_deletion(1e-9) == pytest.approx(1.0, abs=1e-6)

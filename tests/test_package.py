@@ -1,5 +1,7 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import json
 import re
 import shutil
@@ -67,19 +69,67 @@ def test_package_namespace_holds_only_modules():
     assert exported == set()
 
 
-def test_benchmark_reads_only_documented_names():
-    # bench/child.py runs the program through these modules' names: one dropped from the API
-    # would fail its rounds, not a test
-    modules = {"bounds", "cli", "oracle", "verification"}
-    read = set()
-    for node in ast.walk(ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))):
+# the modules bench/child.py runs the program through, and the fields of their records it reads
+_BENCHMARK_MODULES = {"bounds", "cli", "oracle", "verification"}
+_BENCHMARK_FIELDS = {
+    "verification.Check": ("name", "passed", "detail"),
+    "oracle.EntropyReport": ("output_entropy", "bound_chain"),
+    "oracle.Comparison": ("label", "margin"),
+    "bounds.BoundResult": ("rate",),
+}
+
+
+def _benchmark_tree() -> ast.Module:
+    return ast.parse((ROOT / "bench" / "child.py").read_text(encoding="utf-8"))
+
+
+def _benchmark_reads(tree: ast.Module) -> dict[ast.Attribute, str]:
+    """{node: "module.name"} for each name bench/child.py reads off one of the program's modules."""
+    read = {}
+    for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             value = node.value
             owner = value.attr if isinstance(value, ast.Attribute) else getattr(value, "id", None)
-            if owner in modules:
-                read.add(f"{owner}.{node.attr}")
-    assert {name.split(".")[0] for name in read} == modules
+            if owner in _BENCHMARK_MODULES:
+                read[node] = f"{owner}.{node.attr}"
+    return read
+
+
+def test_benchmark_reads_only_documented_names():
+    # bench/child.py runs the program through these modules' names: one dropped from the API
+    # would fail its rounds, not a test
+    read = set(_benchmark_reads(_benchmark_tree()).values())
+    assert {name.split(".")[0] for name in read} == _BENCHMARK_MODULES
     assert sorted(read - set(_readme_api())) == []
+
+
+def test_benchmark_calls_bind_to_their_callees():
+    # a parameter dropped or renamed under a call in bench/child.py would fail every round that
+    # makes the call, not a test: each call must bind its positional count and keyword names
+    tree = _benchmark_tree()
+    reads = _benchmark_reads(tree)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.func in reads:
+            assert not any(isinstance(a, ast.Starred) for a in node.args), ast.unparse(node)
+            assert all(k.arg for k in node.keywords), ast.unparse(node)
+            module, name = reads[node.func].split(".")
+            signature = inspect.signature(getattr(importlib.import_module(f"synchan.{module}"), name))
+            signature.bind(*node.args, **{k.arg: k.value for k in node.keywords})
+            bound.append(reads[node.func])
+    assert {name.split(".")[0] for name in bound} == _BENCHMARK_MODULES
+    assert len(bound) == 9
+
+
+def test_benchmark_reads_existing_fields():
+    # the benchmark reads these fields off the records the program returns; each must be a field
+    read = {node.attr for node in ast.walk(_benchmark_tree()) if isinstance(node, ast.Attribute)}
+    for record, names in _BENCHMARK_FIELDS.items():
+        module, name = record.split(".")
+        record_type = getattr(importlib.import_module(f"synchan.{module}"), name)
+        fields = {f.name for f in dataclasses.fields(record_type)}
+        assert sorted(set(names) - fields) == [], record
+        assert sorted(set(names) - read) == [], record
 
 
 # the messages of the domain checks that synchan.numerics declares once for the whole package

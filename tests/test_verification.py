@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from synchan import oracle, verification
+from synchan import channels, oracle, verification
 
 # (name, passed, detail) of every check, recorded before the enumeration
 # kernels behind these scopes were rewritten; the verdicts must not move
@@ -112,3 +112,20 @@ def test_every_recorded_chain_failure_is_the_known_insertion_weight_defect():
 def test_a_failure_is_known_only_as_the_recorded_defect(scope, name, known):
     assert verification._recorded_defect(scope, verification.Check(name, False, "")) is known
     assert verification._recorded_defect(scope, verification.Check(name, True, "")) is False
+
+
+@pytest.mark.parametrize(
+    "simulator, mutated, intact",
+    [
+        ("simulate_deletion", "deletion_survivor_count_law", "insertion_event_count_law"),
+        ("simulate_gallager_insertion", "insertion_event_count_law", "deletion_survivor_count_law"),
+    ],
+)
+def test_each_length_law_catches_its_own_simulator_mutated(monkeypatch, simulator, mutated, intact):
+    # both length laws run through one helper: a simulator whose error rate is 0.02 too high must
+    # fail its own law at scale 0.05 and leave the other channel's law passing
+    simulate = getattr(channels, simulator)
+    monkeypatch.setattr(channels, simulator, lambda bits, p, rng: simulate(bits, p + 0.02, rng))
+    checks = {c.name: c for c in verification.run_simulator_checks(scale=0.05)}
+    assert checks[mutated].passed is False, checks[mutated]
+    assert checks[intact].passed is True, checks[intact]
