@@ -32,8 +32,6 @@ __all__ = [
     "deletion_awgn_bound",
     "random_insertion_bound",
     "random_insertion_bound_small_p",
-    "deletion_small_p_coefficients",
-    "insertion_small_p_coefficients",
     "optimize_block_length",
     "evaluate_bound",
     "capacity_expansion_constant",
@@ -58,22 +56,6 @@ class ChannelParams:
                 f"p_d + p_i must not exceed 1, got p_d={self.p_d!r} and p_i={self.p_i!r}"
             )
         _check_sigma(self.sigma)
-
-    @classmethod
-    def deletion(cls, p_d: float) -> "ChannelParams":
-        return cls(p_d=p_d)
-
-    @classmethod
-    def deletion_substitution(cls, p_d: float, p_e: float) -> "ChannelParams":
-        return cls(p_d=p_d, p_e=p_e)
-
-    @classmethod
-    def deletion_awgn(cls, p_d: float, sigma: float) -> "ChannelParams":
-        return cls(p_d=p_d, sigma=sigma)
-
-    @classmethod
-    def insertion(cls, p_i: float) -> "ChannelParams":
-        return cls(p_i=p_i)
 
 
 @dataclass(frozen=True)
@@ -167,12 +149,12 @@ def _deletion_components(axes: dict, penalty: tuple | None = None) -> dict[str, 
 
 def deletion_substitution_bound(n: int, p_d: float, p_e: float) -> BoundResult:
     """Finite-block capacity lower bound for the deletion-substitution channel."""
-    return evaluate_bound("deletion_substitution", ChannelParams.deletion_substitution(p_d, p_e), n)
+    return evaluate_bound("deletion_substitution", ChannelParams(p_d=p_d, p_e=p_e), n)
 
 
 def deletion_bound(n: int, p_d: float) -> BoundResult:
     """Deletion-only capacity lower bound (substitution probability zero)."""
-    return evaluate_bound("deletion", ChannelParams.deletion(p_d), n)
+    return evaluate_bound("deletion", ChannelParams(p_d=p_d), n)
 
 
 def _small_p_components(coefficients: Callable, axis: str, axes: dict) -> dict[str, np.ndarray]:
@@ -188,9 +170,8 @@ def _small_p_components(coefficients: Callable, axis: str, axes: dict) -> dict[s
     return dict(zip(names, (np.ones_like(p), -h, c1 * p, c2 * p * p, c3 * p3, c4 * p4)))
 
 
-def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
-    """Coefficients of (p, p^2, p^3, p^4) in the small-p deletion polynomial."""
-    n = _check_block_length("deletion_small_p", n)
+def _deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
+    """Coefficients of (p, p^2, p^3, p^4) in the small-p deletion polynomial, at a checked n."""
     # W_1(n) and c2 = (n-1)/2 (W_2(n) - 2 W_1(n)) as run series: in c2 a run of length l adds
     # 2^-l l(l-1) log2((l-1)/(2l)) (n+3-l)/(4n), below 0 for every l >= 2, so nothing cancels
     s1, s2, t0, t1 = _RUN_SUMS[3:, min(n - 1, _RUN_CUT)].tolist()
@@ -201,12 +182,12 @@ def deletion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
 
 def deletion_bound_small_p(n: int, p_d: float) -> BoundResult:
     """Quartic small-p relaxation of the deletion-only bound."""
-    return evaluate_bound("deletion_small_p", ChannelParams.deletion(p_d), n)
+    return evaluate_bound("deletion_small_p", ChannelParams(p_d=p_d), n)
 
 
 def deletion_awgn_bound(n: int, p_d: float, sigma: float) -> BoundResult:
     """Capacity lower bound for the deletion channel cascaded with BI-AWGN."""
-    return evaluate_bound("deletion_awgn", ChannelParams.deletion_awgn(p_d, sigma), n)
+    return evaluate_bound("deletion_awgn", ChannelParams(p_d=p_d, sigma=sigma), n)
 
 
 def _insertion_components(axes: dict, exact: bool = False) -> dict:
@@ -248,18 +229,17 @@ def random_insertion_bound(n: int, p_i: float) -> BoundResult:
     """The paper's printed insertion bound for the two-bit random replacement channel.
 
     Evaluates the published formula with the printed single-insertion
-    coefficient :func:`synchan.combinatorics.single_insertion_log_weight`,
+    coefficient of :func:`synchan.combinatorics._single_insertion_weights`,
     so it reproduces the reference insertion table.  Exact enumeration shows
     that at small n this is not a capacity lower bound: the value exceeds
     the enumerated (I(X;Y) - H(T))/n at every n from 2 to 9 at p_i = 0.01,
     at n <= 7 at p_i = 0.1 and at n <= 4 at p_i = 0.3.
     """
-    return evaluate_bound("random_insertion", ChannelParams.insertion(p_i), n)
+    return evaluate_bound("random_insertion", ChannelParams(p_i=p_i), n)
 
 
-def insertion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
-    """Coefficients of (p, p^2, p^3, p^4) in the small-p insertion polynomial."""
-    n = _check_block_length("random_insertion_small_p", n)
+def _insertion_small_p_coefficients(n: int) -> tuple[float, float, float, float]:
+    """Coefficients of (p, p^2, p^3, p^4) in the small-p insertion polynomial, at a checked n."""
     s = _single_insertion_weights([n]).item()
     b = math.log2(n * (n - 1) // 2)
     c = (3 * n + 1) / (4 * n)
@@ -277,7 +257,7 @@ def random_insertion_bound_small_p(n: int, p_i: float) -> BoundResult:
     At n = 4, its smallest block length, it is not below :func:`random_insertion_bound`:
     it exceeds it by a p^3 term, up to 3.50e-6 near p_i = 0.028, for p_i up to about 0.037.
     """
-    return evaluate_bound("random_insertion_small_p", ChannelParams.insertion(p_i), n)
+    return evaluate_bound("random_insertion_small_p", ChannelParams(p_i=p_i), n)
 
 
 class _Bound(NamedTuple):
@@ -309,10 +289,10 @@ _BOUNDS = {
     "random_insertion": _Bound(2, 3, _insertion_components),
     "random_insertion_exact": _Bound(2, 3, partial(_insertion_components, exact=True)),
     "deletion_small_p": _Bound(
-        4, 4, partial(_small_p_components, deletion_small_p_coefficients, "p_d"), 2**250
+        4, 4, partial(_small_p_components, _deletion_small_p_coefficients, "p_d"), 2**250
     ),
     "random_insertion_small_p": _Bound(
-        4, 4, partial(_small_p_components, insertion_small_p_coefficients, "p_i"), 2**250
+        4, 4, partial(_small_p_components, _insertion_small_p_coefficients, "p_i"), 2**250
     ),
 }
 

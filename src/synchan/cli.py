@@ -6,7 +6,8 @@ rates are printed with at least six significant digits.
 
 The SNR flag assumes unit-energy antipodal signalling with noise variance
 sigma^2, so SNR = 1/sigma^2 and --snr-db maps to sigma = 10^(-snr_db/20).
-Pass --sigma or --noise-var directly to sidestep that convention.
+To sidestep that convention, bound and optimize take --sigma or --noise-var, and
+sweep takes a --sigma axis; sweep has no --noise-var.
 """
 
 from __future__ import annotations

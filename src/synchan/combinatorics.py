@@ -11,10 +11,7 @@ from .numerics import _check_integer, _log2_binomial, _log_factorials
 
 __all__ = [
     "expected_run_count",
-    "mean_pattern_log_weight",
     "mean_pattern_log_weights",
-    "single_insertion_log_weight",
-    "single_insertion_log_weight_exact",
 ]
 
 
@@ -75,8 +72,10 @@ def _pattern_log_weights(n: int, js: np.ndarray) -> np.ndarray:
 
 
 def mean_pattern_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
-    """W_j(n) for j = lo..hi as a read-only array; see :func:`mean_pattern_log_weight`.
+    """W_j(n) for j = lo..hi as a read-only array.
 
+    W_j(n), in [0, log2 C(n, j)], is the expected log2 of the product of the per-run binomial
+    coefficients that count how a uniform size-j deletion set lands on an i.u.d. n-bit input's runs.
     Each W_j(n) is computed once per process: a table per block length keeps
     every value computed so far over the span of j requested so far, and a
     request computes only the j it is missing.
@@ -100,17 +99,6 @@ def mean_pattern_log_weights(n: int, lo: int, hi: int) -> np.ndarray:
     window = window.view()
     window.flags.writeable = False
     return window
-
-
-def mean_pattern_log_weight(n: int, j: int) -> float:
-    """Average log2 multiplicity of per-run splittings of j deletions.
-
-    For an i.u.d. n-bit input and a uniformly chosen size-j deletion index
-    set, this is the expected log2 of the product of per-run binomial
-    coefficients describing how the deletions land on the runs.  Nonnegative
-    and at most log2(C(n, j)).
-    """
-    return float(mean_pattern_log_weights(n, j, j)[0])
 
 
 _RUN_CUT = 128  # longer runs add below 2^-_RUN_CUT (_RUN_CUT + 3)^2 < 2^-113 of a run-series weight
@@ -139,6 +127,9 @@ def _single_insertion_weights(ns: Sequence[int], exact: bool = False) -> np.ndar
     Each is 2^(-n-1) log2(n) plus, over 4n, the sum over l = 1..n-1 of 2^-l (c (l+2) log2(l+2)
     + 2 (l+1) log2(l+1)), c = n + 1 - l printed and (n - l - 1)/2 exact: with the prefix sums to
     m = min(n - 1, _RUN_CUT), (n+1) F0 - F1 + B printed and ((n-1) F0 - F1)/2 + B exact.
+    The printed weight is the coefficient of the reference tables and the insertion bound; the
+    exact one is the i.u.d. average log2 count of single-insertion outputs.  The two agree only
+    at n = 1 (at n = 2 they are 0.969361 and 0.375000).
     """
     ns = [_check_integer(n, "the single-insertion weight", minimum=1) for n in ns]
     f0, f1, b = _RUN_SUMS[:3, [min(n - 1, _RUN_CUT) for n in ns]]
@@ -147,25 +138,3 @@ def _single_insertion_weights(ns: Sequence[int], exact: bool = False) -> np.ndar
     sums = np.array([scale * float(n - 1 if exact else n + 1) for n in ns]) * f0 - scale * f1 + b
     return sums / np.array([4.0 * n for n in ns]) + [math.ldexp(math.log2(n), -(n + 1)) for n in ns]
 
-
-def single_insertion_log_weight(n: int) -> float:
-    """Run-weighted log2 count of single-insertion outputs, tabulated form.
-
-    This is the coefficient the reference tables and the insertion-channel
-    bound are built on.  Its interior-run term carries about twice the
-    weight of the per-sequence average computed by
-    :func:`single_insertion_log_weight_exact`; the two agree only at n = 1
-    (at n = 2 they are 0.969361 and 0.375000).
-    """
-    return float(_single_insertion_weights([n])[0])
-
-
-def single_insertion_log_weight_exact(n: int) -> float:
-    """Per-sequence average log2 count of single-insertion outputs.
-
-    Equals the i.u.d. average over inputs of the run-extension count terms
-    (n_1+1)log(n_1+1) + (n_K+1)log(n_K+1) + sum of (n_k+2)log(n_k+2) over
-    interior runs, divided by 4n, with the single-run boundary case folded
-    in.  Verified against exhaustive enumeration in the test suite.
-    """
-    return float(_single_insertion_weights([n], exact=True)[0])

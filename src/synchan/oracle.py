@@ -33,7 +33,6 @@ __all__ = [
     "OracleResourceError",
     "Comparison",
     "EntropyReport",
-    "deletion_output_multiplicities",
     "insertion_output_multiplicities",
     "exact_deletion_substitution_entropies",
     "exact_insertion_entropies",
@@ -41,7 +40,6 @@ __all__ = [
     "mc_awgn_entropy_check",
 ]
 
-MAX_DELETION_COUNT_N = 14
 MAX_DELETION_ENTROPY_N = 12
 MAX_INSERTION_N = 9
 
@@ -227,8 +225,9 @@ def _deletion_sums(n: int, p_es: tuple[float, ...]) -> tuple[np.ndarray, tuple[n
     per p_e, in the same order as for a single p_e, so every row equals the
     one-p_e result bit for bit.  At p_e = 0 the BSC is the identity, so a
     row's sum of S log2 S adds a table of c log2 c read at its integer
-    counts, and its sum of S is their integer sum.  The integer aggregates,
-    one per m, are :func:`deletion_output_multiplicities`.
+    counts, and its sum of S is their integer sum.  The integer aggregates
+    come back too: entry m counts, per output y of length m, the (input,
+    deletion set) pairs giving y; a uniform output law makes each 2^(n-m) C(n, m).
 
     Column n, with no deletions, is filled in closed form: each input's one
     keep set makes S the product law BSC(e_x), whose sum of S log2 S is
@@ -261,18 +260,6 @@ def _deletion_sums(n: int, p_es: tuple[float, ...]) -> tuple[np.ndarray, tuple[n
             sums[i, :, m] = math.fsum(slog[i]), math.fsum(mass[i]), _slog(total), math.fsum(total)
     sums.flags.writeable = False
     return sums, tuple(aggregates)
-
-
-def deletion_output_multiplicities(n: int) -> tuple[np.ndarray, ...]:
-    """Aggregate integer deletion multiplicities summed over all inputs.
-
-    Entry ``m`` is an array of length 2^m whose ``y``-th element counts the
-    (input, deletion-index-set) pairs producing output ``y`` of length m.
-    Per-length uniformity of the i.u.d. output law is equivalent to every
-    element of entry m equalling 2^(n-m) * C(n, n-m).
-    """
-    n = _check_limit(n, MAX_DELETION_COUNT_N, "deletion enumeration")
-    return _deletion_sums(n, ())[1]
 
 
 def _deletion_reports(
@@ -432,7 +419,7 @@ def exact_insertion_entropies(n: int, p_i: float) -> EntropyReport:
     h_t = block_entropy(n, p_i)
     chain = [Comparison.make("output_entropy_identity", output, n * (1.0 + p_i) + h_t, "eq", 1e-9)]
     if n >= 2:
-        exact_weight = evaluate_bound("random_insertion_exact", ChannelParams.insertion(p_i), n)
+        exact_weight = evaluate_bound("random_insertion_exact", ChannelParams(p_i=p_i), n)
         for tag, bound in (("", random_insertion_bound(n, p_i)), ("_exact_weight", exact_weight)):
             ub, rate = n * (1.0 + p_i) - n * bound.rate, (mutual - h_t) / n
             chain += [

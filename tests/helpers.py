@@ -468,7 +468,7 @@ def float_deletion_sums(n):
     inputs, weight = oracle._orbit_representatives(n)
     sums = np.zeros((1, 4, n + 1))
     sums[0, :, n] = -(1 << n) * n * binary_entropy(0.0), 1 << n, 0.0, 1 << n
-    for m, aggregate in enumerate(oracle.deletion_output_multiplicities(n)[:n]):
+    for m, aggregate in enumerate(oracle._deletion_sums(n, ())[1][:n]):
         slogs, masses = [], []
         for rows, counts in oracle._survivor_counts(n, m, inputs):
             law = counts.astype(np.float64)

@@ -12,10 +12,11 @@ Two criteria are stated so that the quantity they check can meet them:
   Theta(1/n) term, not against the bare limit.
 
 Criterion 7 fails, and is left failing with its assertions unchanged.  Its
-insertion rows use ``single_insertion_log_weight``, the printed coefficient,
-whose interior-run term carries about twice the weight of the per-sequence
-average it stands for; the insertion bound built on it is then not a lower
-bound at small n.  Passing tests pin the opposite: criteria 3 and 4 and
+insertion rows use the printed single-insertion coefficient of
+``combinatorics._single_insertion_weights``, whose interior-run term
+carries about twice the weight of the per-sequence average it stands
+for; the insertion bound built on it is then not a lower bound at small
+n.  Passing tests pin the opposite: criteria 3 and 4 and
 ``test_reference_polynomial_constant`` pin the printed coefficient and
 Table II, and ``test_tabulated_weight_comparisons_fail_where_known`` asserts
 that the (n=6, p_i=0.1) insertion rows do not hold.  Whether the insertion
@@ -30,19 +31,17 @@ import time
 import numpy as np
 import pytest
 
-from synchan import cli
+from synchan import bounds, cli, oracle
 from synchan.bounds import (
     ChannelParams,
     capacity_expansion_constant,
     deletion_awgn_bound,
     gallager_bound,
-    insertion_small_p_coefficients,
     optimize_block_length,
 )
-from synchan.combinatorics import mean_pattern_log_weight
+from synchan.combinatorics import mean_pattern_log_weights
 from synchan.numerics import awgn_expectation
 from synchan.oracle import (
-    deletion_output_multiplicities,
     exact_deletion_substitution_entropies,
     exact_insertion_entropies,
     insertion_output_multiplicities,
@@ -161,12 +160,12 @@ def test_criterion_03_random_insertion_table():
         for d in diffs
         if not d.within
     ]
-    n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(0.10), 512)
-    improvement = best.rate - gallager_bound(ChannelParams.insertion(0.10)).rate
+    n_star, best = optimize_block_length("random_insertion", ChannelParams(p_i=0.10), 512)
+    improvement = best.rate - gallager_bound(ChannelParams(p_i=0.10)).rate
     if abs(improvement - 0.0392) > 5e-4:
         failures.append(f"  improvement at p_i=0.10 is {improvement:.4f}, expected 0.0392")
-    _, cross = optimize_block_length("random_insertion", ChannelParams.insertion(0.25), 512)
-    if not cross.rate < gallager_bound(ChannelParams.insertion(0.25)).rate:
+    _, cross = optimize_block_length("random_insertion", ChannelParams(p_i=0.25), 512)
+    if not cross.rate < gallager_bound(ChannelParams(p_i=0.25)).rate:
         failures.append("  crossover sign at p_i=0.25 not reproduced")
     elapsed = time.time() - start
     assert elapsed < 60, f"table took {elapsed:.0f}s"
@@ -175,7 +174,7 @@ def test_criterion_03_random_insertion_table():
 
 def test_criterion_04_small_p_insertion_polynomial():
     reference = (1.1591, -30.7184, 1.0502e2, -1.3391e3)
-    computed = insertion_small_p_coefficients(10)
+    computed = bounds._insertion_small_p_coefficients(10)
     failures = [
         f"  coefficient {i + 1}: computed {c:.6g}, reference {r:.6g}"
         for i, (c, r) in enumerate(zip(computed, reference))
@@ -202,8 +201,8 @@ def test_criterion_05_asymptotic_constant():
         failures.append("  expansion constant differs from independent 500-term summation")
     series = math.fsum(2.0 ** (-l - 1) * l * math.log2(l) for l in range(2, 201))
     rate_constant = math.fsum(2.0 ** (-l - 1) * (l - 3) * l * math.log2(l) for l in range(2, 201))
-    w1_1000 = mean_pattern_log_weight(1000, 1)
-    w1_2000 = mean_pattern_log_weight(2000, 1)
+    w1_1000 = mean_pattern_log_weights(1000, 1, 1).item()
+    w1_2000 = mean_pattern_log_weights(2000, 1, 1).item()
     residual = abs(w1_1000 - (series - rate_constant / 1000))
     if residual >= 1e-6:
         failures.append(f"  |W1(1000) - (S - c/1000)| = {residual:.4e}, required < 1e-6")
@@ -260,7 +259,7 @@ def test_criterion_07_oracle_inequalities(deletion_reports, insertion_reports):
 def test_criterion_08_per_length_uniformity():
     failures = []
     for n in DELETION_N:
-        for m, agg in enumerate(deletion_output_multiplicities(n)):
+        for m, agg in enumerate(oracle._deletion_sums(n, ())[1]):
             expected = (1 << (n - m)) * math.comb(n, n - m)
             if not np.all(agg == expected):
                 failures.append(f"  deletion n={n} length {m}: non-uniform multiplicities")

@@ -5,31 +5,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from synchan import bounds
+from synchan import bounds, combinatorics
 from synchan.bounds import (
     ChannelParams,
     capacity_expansion_constant,
     deletion_awgn_bound,
     deletion_bound,
     deletion_bound_small_p,
-    deletion_small_p_coefficients,
     deletion_substitution_bound,
     evaluate_bound,
     gallager_bound,
-    insertion_small_p_coefficients,
     optimize_block_length,
     random_insertion_bound,
     random_insertion_bound_small_p,
 )
-from synchan.combinatorics import (
-    expected_run_count,
-    mean_pattern_log_weight,
-    single_insertion_log_weight,
-    single_insertion_log_weight_exact,
-)
+from synchan.combinatorics import expected_run_count, mean_pattern_log_weights
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
-    deletion_output_multiplicities,
     exact_deletion_substitution_entropies,
     exact_insertion_entropies,
     insertion_output_multiplicities,
@@ -48,11 +40,6 @@ from helpers import (
 
 
 class TestChannelParams:
-    def test_constructors_zero_other_fields(self):
-        assert ChannelParams.deletion(0.2) == ChannelParams(p_d=0.2)
-        assert ChannelParams.insertion(0.2) == ChannelParams(p_i=0.2)
-        assert ChannelParams.deletion_awgn(0.1, 2.0) == ChannelParams(p_d=0.1, sigma=2.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ChannelParams(p_d=1.2)
@@ -82,7 +69,7 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(sigma=sigma)
         with pytest.raises(ValueError):
-            ChannelParams.deletion_awgn(0.1, sigma)
+            ChannelParams(p_d=0.1, sigma=sigma)
 
 
 class TestGallagerBound:
@@ -90,11 +77,11 @@ class TestGallagerBound:
         assert gallager_bound(ChannelParams()).rate == 1.0
 
     def test_insertion_only_reference(self):
-        rate = gallager_bound(ChannelParams.insertion(0.10)).rate
+        rate = gallager_bound(ChannelParams(p_i=0.10)).rate
         assert rate == pytest.approx(0.5310, abs=5e-5)
 
     def test_deletion_substitution_reference(self):
-        rate = gallager_bound(ChannelParams.deletion_substitution(0.05, 0.03)).rate
+        rate = gallager_bound(ChannelParams(p_d=0.05, p_e=0.03)).rate
         assert rate == pytest.approx(0.5289, abs=5e-5)
 
 
@@ -113,7 +100,7 @@ class TestDeletionSubstitutionBound:
             for p_d in (1e-4, 0.01, 0.1, 0.3, 0.5):
                 for p_e in (0.0, 0.05, 0.2):
                     ours = deletion_substitution_bound(n, p_d, p_e)
-                    base = gallager_bound(ChannelParams.deletion_substitution(p_d, p_e)).rate
+                    base = gallager_bound(ChannelParams(p_d=p_d, p_e=p_e)).rate
                     gain = ours.components["pattern_gain"] - p_d
                     assert ours.rate - base == pytest.approx(gain, abs=1e-12)
 
@@ -188,7 +175,7 @@ class TestDeletionBound:
         # 5.90072 against 5.89982 at n = 6, 30.7097 against 30.7003 at n = 10 (p = 1e-4), and
         # 6030.07 against 6028.04 at n = 100 (p = 1e-5)
         gap = (deletion_bound(n, p).rate - deletion_bound_small_p(n, p).rate) / p**3
-        cubic = math.comb(n, 3) * mean_pattern_log_weight(n, 3) / n
+        cubic = math.comb(n, 3) * mean_pattern_log_weights(n, 3, 3).item() / n
         assert gap == pytest.approx(cubic, rel=rel)
 
     def test_small_p_polynomial_against_enumerated_weights(self):
@@ -204,14 +191,14 @@ class TestDeletionBound:
             - p**4 * math.comb(9, 3) * w1
         )
         assert deletion_bound_small_p(10, p).rate == pytest.approx(direct, abs=1e-12)
-        c = deletion_small_p_coefficients(10)
+        c = bounds._deletion_small_p_coefficients(10)
         assert c[0] == pytest.approx(w1 - 1.0, abs=1e-10)
 
     def test_small_p_coefficients_against_a_50_digit_reference(self):
         # formed from W_1 and W_2, c2 = (n-1)/2 (W_2 - 2 W_1) loses its digits to cancellation,
         # 35% of them at n = 10^7; c1 = W_1 - 1 passes through 0, so it is held to an absolute bound
         for n in [*range(4, 1200), 10**4, 10**6, 10**7, 10**9, 10**15, 10**18, 2**60, 2**250]:
-            c1, *rest = deletion_small_p_coefficients(n)
+            c1, *rest = bounds._deletion_small_p_coefficients(n)
             ref1, *ref_rest = mp_deletion_small_p_coefficients(n)
             assert abs(c1 - ref1) <= 5e-16, n
             for got, want in zip(rest, ref_rest):
@@ -257,7 +244,7 @@ class TestRandomInsertionBound:
 
     def test_crossover_against_gallager(self):
         ours = random_insertion_bound(3, 0.25).rate
-        base = gallager_bound(ChannelParams.insertion(0.25)).rate
+        base = gallager_bound(ChannelParams(p_i=0.25)).rate
         assert ours == pytest.approx(0.1853, abs=5e-4)
         assert base == pytest.approx(0.1887, abs=5e-4)
         assert ours < base
@@ -281,7 +268,7 @@ class TestRandomInsertionBound:
                 for method, grid, weight in zip(methods, grids, (printed, exact)):
                     expected = scalar_insertion_rate(n, p_i, weight).hex()
                     assert grid[0, 0, i, 0, j].hex() == expected, (method, p_i, n)
-                    assert evaluate_bound(method, ChannelParams.insertion(p_i), n).rate.hex() == expected
+                    assert evaluate_bound(method, ChannelParams(p_i=p_i), n).rate.hex() == expected
                 assert random_insertion_bound(n, p_i).rate.hex() == grids[0][0, 0, i, 0, j].hex()
 
     @pytest.mark.parametrize("n", [1023, 1024, 4096])
@@ -295,10 +282,10 @@ class TestRandomInsertionBound:
     @pytest.mark.parametrize("method", ["random_insertion", "random_insertion_exact"])
     def test_finite_up_to_the_largest_block_length(self, method):
         for p_i in (0.0, 5e-324, 1e-300, 0.1, 1.0):
-            assert math.isfinite(evaluate_bound(method, ChannelParams.insertion(p_i), 2**1000).rate)
+            assert math.isfinite(evaluate_bound(method, ChannelParams(p_i=p_i), 2**1000).rate)
         for n in (2**1000 + 1, 10**400):
             with pytest.raises(ValueError, match="block length must be <= 2\\^1000"):
-                evaluate_bound(method, ChannelParams.insertion(0.1), n)
+                evaluate_bound(method, ChannelParams(p_i=0.1), n)
 
 
 class TestInsertionGallagerCrossover:
@@ -328,7 +315,7 @@ class TestDeletionGallagerCrossover:
     @classmethod
     def _gain(cls, p_d):
         # pattern_gain - p_d: both rates subtract the same substitution term, so it holds at any p_e
-        return deletion_bound(cls.N, p_d).rate - gallager_bound(ChannelParams.deletion(p_d)).rate
+        return deletion_bound(cls.N, p_d).rate - gallager_bound(ChannelParams(p_d=p_d)).rate
 
     @classmethod
     def _rate(cls, p_d):
@@ -346,7 +333,7 @@ class TestDeletionGallagerCrossover:
 
 class TestInsertionSmallP:
     def test_reference_coefficients(self):
-        c1, c2, c3, c4 = insertion_small_p_coefficients(10)
+        c1, c2, c3, c4 = bounds._insertion_small_p_coefficients(10)
         assert c1 == pytest.approx(1.1591, rel=5e-3)
         assert c2 == pytest.approx(-30.7184, rel=5e-3)
         assert c3 == pytest.approx(1.0502e2, rel=5e-3)
@@ -357,12 +344,12 @@ class TestInsertionSmallP:
 
     def test_finite_up_to_the_largest_block_length(self):
         # the quartic coefficient is about -n^4/6, a finite float up to n = 2^250
-        assert all(map(math.isfinite, insertion_small_p_coefficients(2**250)))
+        assert all(map(math.isfinite, bounds._insertion_small_p_coefficients(2**250)))
         for p_i in (0.0, 0.1, 1.0):
             assert math.isfinite(random_insertion_bound_small_p(2**250, p_i).rate)
         for n in (2**250 + 1, 2**1000):
             with pytest.raises(ValueError, match="block length must be <= 2\\^250"):
-                insertion_small_p_coefficients(n)
+                random_insertion_bound_small_p(n, 0.1)
 
     def test_exceeds_the_printed_bound_at_n4(self):
         # a recorded defect (README): at its smallest block length the relaxation is above the
@@ -398,10 +385,10 @@ _SCANNED_METHODS = {
 
 class TestOptimizeBlockLength:
     def test_insertion_optima(self):
-        n_star, best = optimize_block_length("random_insertion", ChannelParams.insertion(0.03), 512)
+        n_star, best = optimize_block_length("random_insertion", ChannelParams(p_i=0.03), 512)
         assert n_star == 5
         assert best.rate == pytest.approx(0.8276, abs=5e-4)
-        n_star, _ = optimize_block_length("random_insertion", ChannelParams.insertion(0.20), 512)
+        n_star, _ = optimize_block_length("random_insertion", ChannelParams(p_i=0.20), 512)
         assert n_star == 3
 
     def test_longer_blocks_tighter_for_deletion_substitution(self):
@@ -412,7 +399,7 @@ class TestOptimizeBlockLength:
         assert short_rate == pytest.approx(0.8418, abs=5e-4)
 
     def test_argmax_definition(self):
-        params = ChannelParams.insertion(0.08)
+        params = ChannelParams(p_i=0.08)
         n_star, best = optimize_block_length("random_insertion", params, 64)
         for n in range(3, 65):
             assert best.rate >= random_insertion_bound(n, 0.08).rate
@@ -420,7 +407,7 @@ class TestOptimizeBlockLength:
     def test_table2_optima_and_rates_are_the_scans(self):
         for d in table2_diffs():
             if d.column in ("optimal_n", "bound", "loss_bound"):
-                params = ChannelParams.insertion(d.row[0])
+                params = ChannelParams(p_i=d.row[0])
                 n_star, best = optimize_block_length("random_insertion", params, OPTIMIZE_N_MAX)
                 expected = {"optimal_n": n_star, "bound": best.rate, "loss_bound": 1.0 - best.rate}
                 assert repr(d.computed) == repr(expected[d.column]), d
@@ -437,19 +424,19 @@ class TestOptimizeBlockLength:
     def test_n_min_must_be_an_integer(self, n_min):
         # n_max is in the block-length test below; there None is no default
         with pytest.raises(ValueError, match="requires an integer block length"):
-            optimize_block_length("deletion", ChannelParams.deletion(0.1), 10, n_min)
+            optimize_block_length("deletion", ChannelParams(p_d=0.1), 10, n_min)
 
     @pytest.mark.parametrize(
         "method, params, n_max, n_min",
         [
-            ("deletion", ChannelParams.deletion(0.05), 40, None),
-            ("deletion_substitution", ChannelParams.deletion_substitution(0.1, 0.02), 40, None),
-            ("deletion_awgn", ChannelParams.deletion_awgn(0.02, 0.7), 30, 1),
-            ("random_insertion", ChannelParams.insertion(0.08), 40, None),
+            ("deletion", ChannelParams(p_d=0.05), 40, None),
+            ("deletion_substitution", ChannelParams(p_d=0.1, p_e=0.02), 40, None),
+            ("deletion_awgn", ChannelParams(p_d=0.02, sigma=0.7), 30, 1),
+            ("random_insertion", ChannelParams(p_i=0.08), 40, None),
             # n = 2 dominates the insertion scan once it is let in
-            ("random_insertion", ChannelParams.insertion(0.08), 40, 2),
-            ("deletion_small_p", ChannelParams.deletion(0.01), 40, None),
-            ("random_insertion_small_p", ChannelParams.insertion(0.01), 40, 5),
+            ("random_insertion", ChannelParams(p_i=0.08), 40, 2),
+            ("deletion_small_p", ChannelParams(p_d=0.01), 40, None),
+            ("random_insertion_small_p", ChannelParams(p_i=0.01), 40, 5),
         ]
         # the error-free channel: every length ties at rate 1
         + [(method, ChannelParams(), 12, None) for method in _SCANNED_METHODS],
@@ -496,12 +483,12 @@ class TestCapacityExpansion:
 class TestBoundResultInvariants:
     CASES = [
         ("gallager", ChannelParams(p_d=0.05, p_e=0.02, p_i=0.01), None),
-        ("deletion", ChannelParams.deletion(0.07), 40),
-        ("deletion_substitution", ChannelParams.deletion_substitution(0.07, 0.02), 40),
-        ("deletion_awgn", ChannelParams.deletion_awgn(0.07, 0.8), 40),
-        ("random_insertion", ChannelParams.insertion(0.07), 40),
-        ("deletion_small_p", ChannelParams.deletion(0.02), 40),
-        ("random_insertion_small_p", ChannelParams.insertion(0.02), 40),
+        ("deletion", ChannelParams(p_d=0.07), 40),
+        ("deletion_substitution", ChannelParams(p_d=0.07, p_e=0.02), 40),
+        ("deletion_awgn", ChannelParams(p_d=0.07, sigma=0.8), 40),
+        ("random_insertion", ChannelParams(p_i=0.07), 40),
+        ("deletion_small_p", ChannelParams(p_d=0.02), 40),
+        ("random_insertion_small_p", ChannelParams(p_i=0.02), 40),
     ]
 
     @pytest.mark.parametrize("method,params,n", CASES)
@@ -563,10 +550,11 @@ def test_bounds_are_finite_component_sums_at_most_one(method, n, p, q, sigma):
 
 def test_evaluate_bound_requires_block_length():
     with pytest.raises(ValueError):
-        evaluate_bound("deletion", ChannelParams.deletion(0.1))
+        evaluate_bound("deletion", ChannelParams(p_d=0.1))
 
 
-# every function that takes a block length, called at n
+# every function that takes a block length, called at n: the public ones, and the single-insertion
+# weight kernel that the insertion bounds and the tests read
 _TAKES_N = {
     "deletion_bound": lambda n: deletion_bound(n, 0.1),
     "deletion_substitution_bound": lambda n: deletion_substitution_bound(n, 0.1, 0.02),
@@ -574,15 +562,12 @@ _TAKES_N = {
     "random_insertion_bound": lambda n: random_insertion_bound(n, 0.1),
     "deletion_bound_small_p": lambda n: deletion_bound_small_p(n, 0.01),
     "random_insertion_bound_small_p": lambda n: random_insertion_bound_small_p(n, 0.01),
-    "deletion_small_p_coefficients": deletion_small_p_coefficients,
-    "insertion_small_p_coefficients": insertion_small_p_coefficients,
-    "optimize_block_length": lambda n: optimize_block_length("deletion", ChannelParams.deletion(0.1), n),
+    "optimize_block_length": lambda n: optimize_block_length("deletion", ChannelParams(p_d=0.1), n),
     "expected_run_count": lambda n: expected_run_count(2, n),
-    "mean_pattern_log_weight": lambda n: mean_pattern_log_weight(n, 2),
+    "mean_pattern_log_weights": lambda n: mean_pattern_log_weights(n, 2, 2),
     "block_entropy": lambda n: block_entropy(n, 0.1),
-    "single_insertion_log_weight": single_insertion_log_weight,
-    "single_insertion_log_weight_exact": single_insertion_log_weight_exact,
-    "deletion_output_multiplicities": deletion_output_multiplicities,
+    "_single_insertion_weights": lambda n: combinatorics._single_insertion_weights([n]),
+    "_single_insertion_weights(exact)": lambda n: combinatorics._single_insertion_weights([n], exact=True),
     "insertion_output_multiplicities": insertion_output_multiplicities,
     "exact_deletion_substitution_entropies": lambda n: exact_deletion_substitution_entropies(n, 0.1, 0.02),
     "exact_insertion_entropies": lambda n: exact_insertion_entropies(n, 0.1),
@@ -641,7 +626,7 @@ _PINNED = [
     ),
     (
         "deletion",
-        ChannelParams.deletion(0.01),
+        ChannelParams(p_d=0.01),
         100,
         "0x1.d7f326e1355bbp-1",
         {
@@ -652,7 +637,7 @@ _PINNED = [
     ),
     (
         "deletion",
-        ChannelParams.deletion(0.2),
+        ChannelParams(p_d=0.2),
         37,
         "0x1.180aa8dae12eap-2",
         {
@@ -663,7 +648,7 @@ _PINNED = [
     ),
     (
         "deletion_substitution",
-        ChannelParams.deletion_substitution(0.01, 0.03),
+        ChannelParams(p_d=0.01, p_e=0.03),
         1000,
         "0x1.757ee66072bb3p-1",
         {
@@ -675,7 +660,7 @@ _PINNED = [
     ),
     (
         "deletion_substitution",
-        ChannelParams.deletion_substitution(0.1, 0.2),
+        ChannelParams(p_d=0.1, p_e=0.2),
         40,
         "-0x1.b942b6456235ap-4",
         {
@@ -687,7 +672,7 @@ _PINNED = [
     ),
     (
         "deletion_awgn",
-        ChannelParams.deletion_awgn(0.05, 0.8),
+        ChannelParams(p_d=0.05, sigma=0.8),
         100,
         "0x1.8421ae0ba8790p-2",
         {
@@ -699,7 +684,7 @@ _PINNED = [
     ),
     (
         "deletion_awgn",
-        ChannelParams.deletion_awgn(0.2, 2.0),
+        ChannelParams(p_d=0.2, sigma=2.0),
         20,
         "-0x1.9daead375e8aep-2",
         {
@@ -711,7 +696,7 @@ _PINNED = [
     ),
     (
         "random_insertion",
-        ChannelParams.insertion(0.03),
+        ChannelParams(p_i=0.03),
         5,
         "0x1.a7c09b8ebc7fdp-1",
         {
@@ -724,7 +709,7 @@ _PINNED = [
     ),
     (
         "random_insertion",
-        ChannelParams.insertion(0.2),
+        ChannelParams(p_i=0.2),
         40,
         "-0x1.ec20161690af9p-2",
         {
@@ -737,7 +722,7 @@ _PINNED = [
     ),
     (
         "deletion_small_p",
-        ChannelParams.deletion(0.01),
+        ChannelParams(p_d=0.01),
         10,
         "0x1.d724304e6299ep-1",
         {
@@ -751,7 +736,7 @@ _PINNED = [
     ),
     (
         "deletion_small_p",
-        ChannelParams.deletion(0.001),
+        ChannelParams(p_d=0.001),
         100,
         "0x1.fa4b4b78d0f11p-1",
         {
@@ -765,7 +750,7 @@ _PINNED = [
     ),
     (
         "random_insertion_small_p",
-        ChannelParams.insertion(0.02),
+        ChannelParams(p_i=0.02),
         6,
         "0x1.bff8a409f6db5p-1",
         {
@@ -779,7 +764,7 @@ _PINNED = [
     ),
     (
         "random_insertion_small_p",
-        ChannelParams.insertion(0.005),
+        ChannelParams(p_i=0.005),
         50,
         "0x1.e05fd6660fa82p-1",
         {

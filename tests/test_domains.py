@@ -39,11 +39,10 @@ VALID = {
     "n": 5,
     "bits": (0, 1, 1, 0, 1),
     "l": 2,
-    "j": 2,
     "lo": 1,
     "hi": 2,
     "method": "deletion",
-    "params": ChannelParams.deletion(0.1),
+    "params": ChannelParams(p_d=0.1),
     "samples": 100_000,  # the smallest the Monte-Carlo check takes
     "seed": 0,
 }
@@ -62,15 +61,10 @@ LARGE_N = 10**4
 HUGE_N = [2**62, 2**1000, 10**400]
 FLAT_IN_N = {
     "bounds.deletion_bound_small_p",
-    "bounds.deletion_small_p_coefficients",
     "bounds.random_insertion_bound",
     "bounds.evaluate_bound('random_insertion_exact')",
     "bounds.random_insertion_bound_small_p",
-    "bounds.insertion_small_p_coefficients",
     "combinatorics.expected_run_count",
-    "combinatorics.single_insertion_log_weight",
-    "combinatorics.single_insertion_log_weight_exact",
-    "oracle.deletion_output_multiplicities",
     "oracle.insertion_output_multiplicities",
     "oracle.exact_deletion_substitution_entropies",
     "oracle.exact_insertion_entropies",
@@ -98,7 +92,7 @@ SURFACE = _surface()
 # the one row of bounds._BOUNDS that no public callable names, the exact-weight insertion
 # bound, at its probability through evaluate_bound
 SURFACE["bounds.evaluate_bound('random_insertion_exact')"] = lambda p_i, n: bounds.evaluate_bound(
-    "random_insertion_exact", ChannelParams.insertion(p_i), n
+    "random_insertion_exact", ChannelParams(p_i=p_i), n
 )
 
 

@@ -23,7 +23,6 @@ from synchan import oracle
 from synchan.numerics import awgn_expectation, binary_entropy, block_entropy
 from synchan.oracle import (
     OracleResourceError,
-    deletion_output_multiplicities,
     exact_deletion_substitution_entropies,
     exact_insertion_conditional_law,
     exact_insertion_entropies,
@@ -191,15 +190,11 @@ class TestSurvivorCounts:
             for _, counts in oracle._survivor_counts(n, m, np.arange(1 << n)):
                 assert counts.dtype == np.int64 and np.all(counts.sum(axis=1) == comb(n, m))
 
-    def test_resource_guard(self):
-        with pytest.raises(OracleResourceError):
-            deletion_output_multiplicities(15)
-
 
 class TestPerLengthUniformity:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_deletion_multiplicities(self, n):
-        for m, agg in enumerate(deletion_output_multiplicities(n)):
+        for m, agg in enumerate(oracle._deletion_sums(n, ())[1]):
             expected = (1 << (n - m)) * comb(n, n - m)
             assert agg.dtype == np.int64 and agg.shape == (1 << m,)
             assert np.all(agg == expected)
@@ -319,7 +314,7 @@ class TestDeletionKernel:
         oracle._deletion_sums.cache_clear()
         _, aggregates = oracle._deletion_sums(12, (0.0, 0.05))
         assert sorted(calls) == list(range(13))
-        for aggregate, expected in zip(aggregates, deletion_output_multiplicities(12), strict=True):
+        for aggregate, expected in zip(aggregates, oracle._deletion_sums(12, ())[1], strict=True):
             assert np.array_equal(aggregate, expected)
 
     def test_grid_reports_equal_single_reports(self):
@@ -344,10 +339,10 @@ class TestDeletionKernel:
 
 class TestCachedArraysAreReadOnly:
     def test_deletion_multiplicities(self):
-        before = deletion_output_multiplicities(5)[2].copy()
+        before = oracle._deletion_sums(5, ())[1][2].copy()
         with pytest.raises(ValueError):
-            deletion_output_multiplicities(5)[2][0] = 999
-        assert np.array_equal(deletion_output_multiplicities(5)[2], before)
+            oracle._deletion_sums(5, ())[1][2][0] = 999
+        assert np.array_equal(oracle._deletion_sums(5, ())[1][2], before)
 
     def test_insertion_tables(self):
         before = [a.copy() for a in insertion_output_multiplicities(5)]
@@ -390,7 +385,7 @@ class TestOrbitEnumeration:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_symmetrised_aggregate_equals_full_enumeration(self, n):
         everyone = np.arange(1 << n)
-        for m, aggregate in enumerate(deletion_output_multiplicities(n)):
+        for m, aggregate in enumerate(oracle._deletion_sums(n, ())[1]):
             full = sum(counts.sum(axis=0) for _, counts in oracle._survivor_counts(n, m, everyone))
             assert aggregate.dtype == np.int64 and np.array_equal(aggregate, full)
 

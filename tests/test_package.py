@@ -246,6 +246,40 @@ def test_every_private_definition_has_a_caller_in_the_package():
     assert uncalled == []
 
 
+# the public names that no other module of the package reads: the entry points a user calls, each
+# with the README claim it serves.  Any other public name needs a caller in the package.
+_USER_ENTRY_POINTS = {
+    "bounds.BoundResult": "Library: every result is a BoundResult, its rate the sum of its components",
+    "bounds.gallager_bound": "Library: one of the bounds themselves",
+    "bounds.deletion_bound": "Library: one of the bounds themselves",
+    "bounds.deletion_awgn_bound": "Library: one of the bounds themselves",
+    "bounds.deletion_bound_small_p": "Library: the bounds' quartic small-probability relaxations",
+    "bounds.random_insertion_bound_small_p": "Library: the bounds' quartic small-probability relaxations",
+    "bounds.capacity_expansion_constant": "A1, the deletion bound's first-order slope as p_d -> 0",
+    "cli.main": "Command line: the synchan console script",
+    "oracle.OracleResourceError": "Library: the oracles' enumeration budget, raised before any enumeration",
+    "oracle.Comparison": "Library: one row of an EntropyReport's bound chain",
+    "oracle.EntropyReport": "Library: the oracles' exact entropies with their closed-form comparisons",
+    "oracle.exact_deletion_substitution_entropies": "Library: exact entropies for small blocks",
+    "verification.Check": "Library: one verdict of synchan verify, as the run_*_checks functions return it",
+}
+
+
+def test_every_public_name_has_a_caller_in_the_package_or_is_an_entry_point():
+    # a public name that only the tests call is surface to keep for no user: it belongs in
+    # tests/helpers.py, or behind an underscore
+    paths = (ROOT / "src" / "synchan").glob("*.py")
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    uncalled = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in importlib.import_module(f"synchan.{name}").__all__
+        if not any(other != name and _references(tree, attr) for other, tree in trees.items())
+    ]
+    assert sorted(set(uncalled) - set(_USER_ENTRY_POINTS)) == []
+    assert sorted(set(_USER_ENTRY_POINTS) - set(_readme_api())) == []
+
+
 def test_readme_counts_the_recorded_chain_failures():
     recorded = json.loads((ROOT / "tests" / "verify_verdicts.json").read_text(encoding="utf-8"))
     failing = sum(not passed for _, passed, _ in recorded["run_chain_checks()"])
