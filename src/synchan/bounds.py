@@ -228,9 +228,9 @@ def _insertion_components(axes: dict, exact: bool = False) -> dict:
 def random_insertion_bound(n: int, p_i: float) -> BoundResult:
     """The paper's printed insertion bound for the two-bit random replacement channel.
 
-    Evaluates the published formula with the printed single-insertion
-    coefficient of :func:`synchan.combinatorics._single_insertion_weights`,
-    so it reproduces the reference insertion table.  Exact enumeration shows
+    Evaluates the published formula with the paper's printed, run-weighted
+    single-insertion coefficient, so it reproduces the reference insertion
+    table.  Exact enumeration shows
     that at small n this is not a capacity lower bound: the value exceeds
     the enumerated (I(X;Y) - H(T))/n at every n from 2 to 9 at p_i = 0.01,
     at n <= 7 at p_i = 0.1 and at n <= 4 at p_i = 0.3.
