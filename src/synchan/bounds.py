@@ -367,7 +367,7 @@ def optimize_block_length(
         raise ValueError(f"method {method!r} {reason}; choose from {scanned}")
     if n_min is None:
         n_min = _BOUNDS[method].scan_min
-    n_min = _check_integer(n_min, "optimize_block_length", "block length n_min")
+    n_min = _check_integer(n_min, "optimize_block_length", "block length n_min", _BOUNDS[method].n_min)
     n_max = _check_integer(n_max, "optimize_block_length", "block length n_max", n_min)
     lengths = range(n_min, n_max + 1)
     point = [[params.p_d], [params.p_e], [params.p_i], [params.sigma]]

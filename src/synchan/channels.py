@@ -47,6 +47,7 @@ class RngState:
 
     def split(self, count: int) -> list["RngState"]:
         """Spawn ``count`` non-overlapping child streams."""
+        count = _check_integer(count, "RngState.split", what="count", minimum=0, maximum=None)
         return [RngState(_sequence=child) for child in self._sequence.spawn(count)]
 
     def __repr__(self) -> str:

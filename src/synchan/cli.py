@@ -7,7 +7,12 @@ rates are printed with at least six significant digits.
 The SNR flag assumes unit-energy antipodal signalling with noise variance
 sigma^2, so SNR = 1/sigma^2 and --snr-db maps to sigma = 10^(-snr_db/20).
 To sidestep that convention, bound and optimize take --sigma or --noise-var, and
-sweep takes a --sigma axis; sweep has no --noise-var.
+sweep takes a --sigma axis; sweep has no --noise-var.  The noise flags exclude each other.
+
+An invalid value exits 2 with one stderr line: ``error: argument --flag: ...`` where the
+parser rejects it, or an ``error:`` naming the parameter (the path, for --csv) where the
+library does.  An unknown flag, a missing required flag or a missing subcommand exits 2
+with argparse's usage message.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
+from functools import partial
 from itertools import product
 from typing import Sequence
 
@@ -46,46 +52,44 @@ _VERIFY_SCHEMA_VERSION = 1
 _RESULT_SCHEMA_VERSION = 1
 
 
-def _noise_flag(args) -> str | None:
-    """The one noise flag given, if any; more than one is an error."""
-    given = [
-        name
-        for name in ("sigma", "snr_db", "noise_var")
-        if getattr(args, name, None) is not None
-    ]
-    if len(given) > 1:
-        raise ValueError("pass at most one of --sigma, --snr-db, --noise-var")
-    return given[0] if given else None
+def _flag(convert):
+    """``convert`` as an argparse ``type``: its ValueError becomes the flag's error, message kept."""
+
+    def converted(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return converted
 
 
-def _sigma_from_args(args) -> float:
-    flag = _noise_flag(args)
-    if flag is None:
-        return 0.0
-    if flag == "sigma":
-        return args.sigma
-    if flag == "noise_var":
-        if args.noise_var < 0:
-            raise ValueError("--noise-var must be nonnegative")
-        return math.sqrt(args.noise_var)
-    return _sigma_from_snr_db(args.snr_db)
-
-
-def _sigma_from_snr_db(snr_db: float) -> float:
+def _sigma_from_snr_db(snr_db: str | float) -> float:
     """sigma = 10^(-snr_db / 20), or ValueError where that exceeds the float range."""
+    snr_db = float(snr_db)
     try:
         return 10.0 ** (-snr_db / 20.0)
     except OverflowError:
-        raise ValueError(f"--snr-db {snr_db!r} gives a sigma beyond the float range") from None
+        raise ValueError(f"{snr_db!r} dB gives a sigma beyond the float range") from None
+
+
+def _sigma_from_noise_var(text: str) -> float:
+    variance = float(text)
+    if variance < 0:
+        raise ValueError(f"must be nonnegative, got {variance!r}")
+    return math.sqrt(variance)
+
+
+def _sample_budget(text: str) -> float:
+    budget = float(text)
+    if not 0.0 < budget < math.inf:
+        raise ValueError(f"must be positive and finite, got {budget!r}")
+    return budget
 
 
 def _params_from_args(args) -> ChannelParams:
-    return ChannelParams(
-        p_d=getattr(args, "pd", 0.0) or 0.0,
-        p_e=getattr(args, "pe", 0.0) or 0.0,
-        p_i=getattr(args, "pi", 0.0) or 0.0,
-        sigma=_sigma_from_args(args),
-    )
+    # + 0.0 reads a probability of -0.0 as 0.0
+    return ChannelParams(p_d=args.pd + 0.0, p_e=args.pe + 0.0, p_i=args.pi + 0.0, sigma=args.sigma)
 
 
 def _print_result(result, as_json: bool) -> None:
@@ -133,7 +137,7 @@ def _write_diff_csv(fh, diffs: list[CellDiff]) -> None:
 
 def _cmd_table(args) -> int:
     with _open_csv(args.csv) as out:
-        diffs = table1_diffs() if args.which.upper() in ("I", "1") else table2_diffs()
+        diffs = table1_diffs() if args.which in ("I", "1") else table2_diffs()
         bad = _print_table(diffs)
         if out:
             _write_diff_csv(out, diffs)
@@ -174,15 +178,13 @@ def _number(text: str, integer: bool) -> float:
     return value
 
 
-def _parse_axis(text: str | None, integer: bool = False) -> list | None:
+def _parse_axis(text: str, integer: bool = False) -> list:
     """Parse a comma list or a lo:hi:count:{lin,log} range specification.
 
-    ``None`` (flag absent) maps to ``None``; an empty string is an empty axis.
-    With ``integer`` every number given must be an integer; the points of a
-    range are rounded to the nearest integer.
+    An empty string is an empty axis.  With ``integer`` every number given must
+    be an integer; the points of a range are rounded to the nearest integer, and
+    no two may round to the same one.
     """
-    if text is None:
-        return None
     text = text.strip()
     if not text:
         return []
@@ -208,36 +210,24 @@ def _parse_axis(text: str | None, integer: bool = False) -> list | None:
             raise ValueError(f"unknown spacing {spacing!r}")
     else:
         values = [_number(v, integer) for v in text.split(",")]
-    return [int(round(v)) for v in values] if integer else values
+    if integer:
+        values = [int(round(v)) for v in values]
+        if ":" in text and len(set(values)) < len(values):
+            raise ValueError(f"range {text!r} rounds two points to one integer")
+    return values
 
 
 def _cmd_sweep(args) -> int:
-    def axis(text, default, integer=False):
-        parsed = _parse_axis(text, integer=integer)
-        return default if parsed is None else parsed
-
     methods = args.method or ["gallager"]
-    internal = [_METHODS[m] for m in methods]
-    pd_axis = axis(args.pd, [0.0])
-    pe_axis = axis(args.pe, [0.0])
-    pi_axis = axis(args.pi, [0.0])
-    if _noise_flag(args) == "snr_db":
-        sigma_axis = [_sigma_from_snr_db(db) for db in axis(args.snr_db, [])]
-    else:
-        sigma_axis = axis(args.sigma, [0.0])
-    n_axis = axis(args.n, [None], integer=True)
-    needs_n = [m for m in internal if m != "gallager"]
-    if needs_n and n_axis == [None]:
-        raise ValueError(f"--n is required for methods {needs_n}")
     with _open_csv(args.csv, sys.stdout) as out:
-        rates = _grid_rates(internal, pd_axis, pe_axis, pi_axis, sigma_axis, n_axis)
+        rates = _grid_rates([_METHODS[m] for m in methods], args.pd, args.pe, args.pi, args.sigma, args.n)
         columns = (
-            [f"{p_d:.8g}" for p_d in pd_axis],
-            [f"{p_e:.8g}" for p_e in pe_axis],
-            [f"{p_i:.8g}" for p_i in pi_axis],
+            [f"{p_d:.8g}" for p_d in args.pd],
+            [f"{p_e:.8g}" for p_e in args.pe],
+            [f"{p_i:.8g}" for p_i in args.pi],
             # + 0.0 turns the -0.0 dB of sigma = 1 into 0.0
-            [(f"{s:.8g}", f"{-20.0 * math.log10(s) + 0.0:.8g}" if s > 0 else "") for s in sigma_axis],
-            ["" if n is None else str(n) for n in n_axis],
+            [(f"{s:.8g}", f"{-20.0 * math.log10(s) + 0.0:.8g}" if s > 0 else "") for s in args.sigma],
+            ["" if n is None else str(n) for n in args.n],
         )
         rate_rows = zip(*(grid.ravel().tolist() for grid in rates))
         writer = csv.writer(out)
@@ -254,9 +244,6 @@ def _cmd_verify(args) -> int:
     scopes = list(dict.fromkeys(args.scope or ["all"]))
     if "all" in scopes:
         scopes = list(_SCOPES)
-    if not 0.0 < args.mc_samples < math.inf:
-        raise ValueError(f"--mc-samples must be positive and finite, got {args.mc_samples!r}")
-    _check_integer(args.seed, "verify", what="seed", minimum=0, maximum=None)
     from . import verification
 
     scale = args.mc_samples / 1_000_000.0
@@ -307,9 +294,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_optimize(args) -> int:
     method, params = _METHODS[args.method], _params_from_args(args)
-    if _BOUNDS[method].n_min is None:  # name the choices as --method spells them
-        scanned = sorted(name for name, tag in _METHODS.items() if _BOUNDS[tag].n_min is not None)
-        raise ValueError(f"method {args.method!r} has no block length; choose from {scanned}")
     n_star, result = optimize_block_length(method, params, args.n_max, args.n_min)
     if not args.json:
         print(f"optimal n     {n_star}")
@@ -317,21 +301,27 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pd", type=float, default=0.0, help="deletion probability")
-    parser.add_argument("--pe", type=float, default=0.0, help="substitution probability")
-    parser.add_argument("--pi", type=float, default=0.0, help="insertion probability")
-    parser.add_argument("--sigma", type=float, default=None, help="AWGN noise std-dev")
-    parser.add_argument("--snr-db", type=float, default=None, help="SNR in dB (1/sigma^2)")
-    parser.add_argument("--noise-var", type=float, default=None, help="AWGN noise variance")
+def _add_param_flags(parser: argparse.ArgumentParser, axis: bool = False) -> None:
+    """The probability and noise flags: one number each, or with ``axis`` one sweep axis each."""
+    number, zero = (_flag(_parse_axis), [0.0]) if axis else (float, 0.0)
+    snr_db = (lambda text: [_sigma_from_snr_db(db) for db in _parse_axis(text)]) if axis else _sigma_from_snr_db
+    parser.add_argument("--pd", type=number, default=zero, help="deletion probability")
+    parser.add_argument("--pe", type=number, default=zero, help="substitution probability")
+    parser.add_argument("--pi", type=number, default=zero, help="insertion probability")
+    noise = parser.add_mutually_exclusive_group()
+    noise.add_argument("--sigma", type=number, default=zero, help="AWGN noise std-dev")
+    noise.add_argument("--snr-db", type=_flag(snr_db), dest="sigma", metavar="SNR_DB", help="SNR in dB (1/sigma^2)")
+    if not axis:
+        variance = _flag(_sigma_from_noise_var)
+        noise.add_argument("--noise-var", type=variance, dest="sigma", metavar="NOISE_VAR", help="AWGN noise variance")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="synchan",
-        description="Capacity lower bounds and verification for synchronization-error channels",
+    description = "Capacity lower bounds and verification for synchronization-error channels"
+    parser = argparse.ArgumentParser(prog="synchan", description=description, exit_on_error=False)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=partial(argparse.ArgumentParser, exit_on_error=False)
     )
-    sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="evaluate one bound")
     p_bound.add_argument("--method", choices=sorted(_METHODS), required=True)
@@ -341,34 +331,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=_cmd_bound)
 
     p_table = sub.add_parser("table", help="regenerate a reference table and diff it")
-    p_table.add_argument("which", choices=["I", "II", "1", "2", "i", "ii"])
+    p_table.add_argument("which", type=str.upper, choices=["I", "II", "1", "2"])
     p_table.add_argument("--csv", default=None, help="write the cell diff as CSV")
     p_table.set_defaults(func=_cmd_table)
 
-    p_sweep = sub.add_parser("sweep", help="evaluate bounds over a parameter grid")
-    p_sweep.add_argument(
-        "--method", action="append", choices=sorted(_METHODS), help="repeatable method flag"
-    )
-    p_sweep.add_argument("--pd", default=None, help="axis: comma list or lo:hi:count[:lin|log]")
-    p_sweep.add_argument("--pe", default=None, help="axis")
-    p_sweep.add_argument("--pi", default=None, help="axis")
-    p_sweep.add_argument("--sigma", default=None, help="axis")
-    p_sweep.add_argument("--snr-db", default=None, help="axis (dB)")
-    p_sweep.add_argument("--n", default=None, help="axis (integers)")
+    axes = "--pd, --pe, --pi, --sigma, --snr-db and --n each take a comma list or lo:hi:count[:lin|log]"
+    p_sweep = sub.add_parser("sweep", help="evaluate bounds over a parameter grid", description=axes)
+    p_sweep.add_argument("--method", action="append", choices=sorted(_METHODS), help="repeatable method flag")
+    _add_param_flags(p_sweep, axis=True)
+    p_sweep.add_argument("--n", type=_flag(partial(_parse_axis, integer=True)), default=[None], help="block length")
     p_sweep.add_argument("--csv", default=None, help="output path (default stdout)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
+    seed = _flag(lambda text: _check_integer(int(text), "verify", what="seed", minimum=0, maximum=None))
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument(
-        "--scope",
-        action="append",
-        choices=list(_SCOPES) + ["all"],
-        help="repeatable; default all",
-    )
-    p_verify.add_argument("--seed", type=int, default=20250809)
+    p_verify.add_argument("--scope", action="append", choices=[*_SCOPES, "all"], help="repeatable; default all")
+    p_verify.add_argument("--seed", type=seed, default=20250809)
     p_verify.add_argument(
         "--mc-samples",
-        type=float,
+        type=_flag(_sample_budget),
         default=1_000_000,
         help="statistical-test sample budget (scales the registered sizes)",
     )
@@ -376,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_opt = sub.add_parser("optimize", help="find the best block length for a bound")
-    p_opt.add_argument("--method", choices=sorted(_METHODS), required=True)
+    scanned = sorted(name for name, tag in _METHODS.items() if _BOUNDS[tag].n_min is not None)
+    p_opt.add_argument("--method", choices=scanned, required=True)
     p_opt.add_argument("--n-max", type=int, required=True)
     p_opt.add_argument("--n-min", type=int, default=None)
     _add_param_flags(p_opt)
@@ -387,11 +369,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the ``synchan`` command line on ``argv`` (default ``sys.argv[1:]``); return its exit status."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, OSError) as exc:  # a bad argument, or output that cannot be written (--csv)
+    except (argparse.ArgumentError, ValueError, OSError) as exc:  # a bad value, or an unwritable --csv
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

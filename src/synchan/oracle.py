@@ -481,8 +481,7 @@ def mc_awgn_entropy_check(sigma: float, samples: int = 10_000_000, seed: int = 0
     compares with the closed form log2(2 sigma sqrt(2 pi e)) minus
     :func:`synchan.numerics.awgn_expectation`.
     """
-    if samples < 100_000:
-        raise ValueError(f"need at least 1e5 samples, got {samples}")
+    samples = _check_integer(samples, "mc_awgn_entropy_check", what="samples", minimum=100_000, maximum=None)
     _check_sigma(sigma, positive=True)
     gen = RngState(seed).generator
     total = 0.0

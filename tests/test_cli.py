@@ -89,10 +89,10 @@ class TestBoundCommand:
     def test_in_range_snr_maps_to_the_same_sigma(self, snr_db):
         assert cli._sigma_from_snr_db(snr_db) == 10.0 ** (-snr_db / 20.0)
 
-    def test_unknown_method_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["bound", "--method", "bogus"])
-        assert exc.value.code == 2
+    def test_unknown_method_is_a_one_line_error(self, capsys):
+        choices = ", ".join(map(repr, sorted(cli._METHODS)))
+        message = f"error: argument --method: invalid choice: 'bogus' (choose from {choices})\n"
+        assert run_cli(capsys, "bound", "--method", "bogus") == (2, "", message)
 
 
 class TestTableCommand:
@@ -432,7 +432,7 @@ class TestVerifyCommand:
     def test_negative_seed_rejected_before_any_scope(self, capsys, scopes_run, scope):
         # the oracle scope draws nothing, yet a seed out of the domain is still an error
         code, out, err = run_cli(capsys, "verify", "--scope", scope, "--seed", "-1")
-        assert (code, out, err, scopes_run) == (2, "", "error: seed must be >= 0, got -1\n", [])
+        assert (code, out, err, scopes_run) == (2, "", "error: argument --seed: seed must be >= 0, got -1\n", [])
 
     @pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1e-6])
     def test_simulator_checks_reject_invalid_scale(self, scale):
@@ -456,10 +456,11 @@ class TestOptimizeCommand:
         assert payload["rate"] == rate  # bit for bit
 
     def test_optimize_choices_are_cli_method_names(self, capsys):
+        # the methods that take a block length
         code, _, err = run_cli(capsys, "optimize", "--method", "gallager", "--n-max", "10")
-        choices = ["del-awgn", "del-small-p", "del-sub", "deletion", "ins-small-p", "insertion"]
+        choices = "'del-awgn', 'del-small-p', 'del-sub', 'deletion', 'ins-small-p', 'insertion'"
         assert code == 2
-        assert err == f"error: method 'gallager' has no block length; choose from {choices}\n"
+        assert err == f"error: argument --method: invalid choice: 'gallager' (choose from {choices})\n"
 
     def test_insertion_scan_past_n_1022(self, capsys):
         # 2.0 ** (n + 1) overflows a float from n = 1023
@@ -481,66 +482,88 @@ class TestOptimizeCommand:
 
 
 # The command line's domain contract: an out-of-domain value exits 2 with nothing on stdout and
-# one stderr line.  Each probe: the flag it takes out of its domain, the argv, and a text the
-# message holds.  {huge} is 10^400, beyond the largest block length 2^1000; {missing} is a path in
-# a directory that does not exist, {directory} a directory.  Block lengths that are in the domain
-# but allocate without bound (deletion-family n >= 10^8, ROADMAP item 2) are not probed.
+# one stderr line, which names the flag (``argument --flag:``) where the parser rejects the value,
+# the parameter the flag sets (_PARAMETERS) where the library does, and the path for --csv.  Each
+# probe: the flag it takes out of its domain, the argv, and a text the message holds.  {huge} is
+# 10^400, beyond the largest block length 2^1000; {missing} is a path in a directory that does not
+# exist, {directory} a directory.  Block lengths that are in the domain but allocate without bound
+# (deletion-family n >= 10^8, ROADMAP item 2) are not probed.
+_SIGMA = "sigma must be finite and nonnegative"
+_SNR_OVERFLOW = "argument --snr-db: -7000.0 dB gives a sigma beyond the float range"
+_NOISE_CONFLICT = "argument --snr-db: not allowed with argument --sigma"
+_NEGATIVE_VARIANCE = "argument --noise-var: must be nonnegative, got -1.0"
 _OUT_OF_DOMAIN = [
     ("--n", "bound --method del-awgn --pd 0.1 --n 0", "block length must be >= 1, got 0"),
     ("--n", "bound --method del-awgn --pd 0.1 --n {huge}", "block length must be <= 2^1000"),
-    ("--n", "bound --method deletion --pd 0.1", "requires an integer block length, got None"),
+    ("--n", "bound --method deletion --pd 0.1", "method 'deletion' requires an integer block length, got None"),
     ("--pd", "bound --method del-awgn --n 100 --pd 1.5", "p_d must lie in [0, 1], got 1.5"),
     ("--pd", "bound --method del-awgn --n 100 --pd nan", "p_d must lie in [0, 1], got nan"),
+    ("--pd", "bound --method del-awgn --n 100 --pd x", "argument --pd: invalid float value: 'x'"),
     ("--pe", "bound --method del-sub --n 100 --pd 0.1 --pe 2", "p_e must lie in [0, 1], got 2.0"),
     ("--pi", "bound --method insertion --n 10 --pi -1", "p_i must lie in [0, 1], got -1.0"),
     # p_d + p_i rounds to 1; the message keeps the unrounded p_i
     ("--pi", "bound --method gallager --pd 1 --pi 1e-200", "p_d + p_i must not exceed 1, got p_d=1.0 and p_i=1e-200"),
-    ("--sigma", "bound --method del-awgn --n 100 --pd 0.1 --sigma -1", "sigma must be finite and"),
-    ("--sigma", "bound --method del-awgn --n 100 --pd 0.1 --sigma inf", "sigma must be finite and"),
-    ("--sigma", "bound --method del-awgn --n 100 --pd 0.1 --sigma 1 --snr-db 3", "at most one"),
+    ("--sigma", "bound --method del-awgn --n 100 --pd 0.1 --sigma -1", f"{_SIGMA}, got -1.0"),
+    ("--sigma", "bound --method del-awgn --n 100 --pd 0.1 --sigma inf", f"{_SIGMA}, got inf"),
     # sigma = 10^350 exceeds the float range
-    ("--snr-db", "bound --method del-awgn --n 100 --pd 0.1 --snr-db=-7000", "--snr-db -7000.0 gives a sigma"),
-    ("--snr-db", "bound --method del-awgn --n 100 --pd 0.1 --snr-db nan", "sigma must be finite"),
-    ("--noise-var", "bound --method del-awgn --n 100 --pd 0.1 --noise-var -1", "--noise-var must be"),
-    ("--noise-var", "bound --method del-awgn --n 100 --pd 0.1 --noise-var inf", "sigma must be finite"),
+    ("--snr-db", "bound --method del-awgn --n 100 --pd 0.1 --snr-db=-7000", _SNR_OVERFLOW),
+    ("--snr-db", "bound --method del-awgn --n 100 --pd 0.1 --snr-db nan", f"{_SIGMA}, got nan"),
+    ("--snr-db", "bound --method del-awgn --n 100 --pd 0.1 --sigma 1 --snr-db 3", _NOISE_CONFLICT),
+    ("--noise-var", "bound --method del-awgn --n 100 --pd 0.1 --noise-var -1", _NEGATIVE_VARIANCE),
+    ("--noise-var", "bound --method del-awgn --n 100 --pd 0.1 --noise-var inf", f"{_SIGMA}, got inf"),
     ("--csv", "table I --csv {missing}", "No such file or directory"),
     ("--csv", "table II --csv {directory}", "Is a directory"),
-    ("--pd", "sweep --method deletion --n 10 --pd 0:1:0", "range count must be positive"),
-    ("--pd", "sweep --method deletion --n 10 --pd 1:2", "range must be lo:hi:count[:lin|log]"),
-    ("--pd", "sweep --method deletion --n 10 --pd 0:1:3:cubic", "unknown spacing 'cubic'"),
-    # the message passes float's through and does not name the flag (a recorded defect): match only the value
-    ("--pd", "sweep --method deletion --n 10 --pd 0.1,x", "'x'"),
+    ("--pd", "sweep --method deletion --n 10 --pd 0:1:0", "argument --pd: range count must be positive"),
+    ("--pd", "sweep --method deletion --n 10 --pd 1:2", "argument --pd: range must be lo:hi:count[:lin|log]"),
+    ("--pd", "sweep --method deletion --n 10 --pd 0:1:3:cubic", "argument --pd: unknown spacing 'cubic'"),
+    ("--pd", "sweep --method deletion --n 10 --pd 0.1,x", "argument --pd: could not convert string to float: 'x'"),
     ("--pd", "sweep --method deletion --n 10 --pd 1.5", "p_d must lie in [0, 1], got 1.5"),
     ("--pe", "sweep --method del-sub --n 10 --pd 0.1 --pe 0,2", "p_e must lie in [0, 1], got 2.0"),
     ("--pi", "sweep --method insertion --n 10 --pi -0.5", "p_i must lie in [0, 1], got -0.5"),
-    ("--pi", "sweep --method gallager --pd 0.6 --pi 0.5", "p_d + p_i must not exceed 1"),
-    ("--sigma", "sweep --method del-awgn --n 10 --pd 0.1 --sigma -1", "sigma must be finite and nonnegative"),
-    ("--sigma", "sweep --method del-awgn --n 10 --pd 0.1 --sigma 0.5 --snr-db 10", "at most one"),
-    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db=-7000", "gives a sigma beyond the"),
-    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db 0,-7000", "gives a sigma beyond the"),
-    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db=-7000:0:3:lin", "gives a sigma beyond"),
-    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db 0:10:0", "range count must be positive"),
-    ("--n", "sweep --method deletion --pd 0.1", "--n is required for methods ['deletion']"),
-    ("--n", "sweep --method deletion --pd 0.1 --n 1e400", "expected an integer, got '1e400'"),
-    ("--n", "sweep --method deletion --pd 0.1 --n 4,3.6", "expected an integer, got '3.6'"),
+    ("--pi", "sweep --method gallager --pd 0.6 --pi 0.5", "p_d + p_i must not exceed 1, got p_d=0.6 and p_i=0.5"),
+    ("--sigma", "sweep --method del-awgn --n 10 --pd 0.1 --sigma -1", f"{_SIGMA}, got -1.0"),
+    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --sigma 0.5 --snr-db 10", _NOISE_CONFLICT),
+    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db=-7000", _SNR_OVERFLOW),
+    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db 0,-7000", _SNR_OVERFLOW),
+    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db=-7000:0:3:lin", _SNR_OVERFLOW),
+    ("--snr-db", "sweep --method del-awgn --n 10 --pd 0.1 --snr-db 0:10:0", "argument --snr-db: range count must be"),
+    ("--n", "sweep --method deletion --pd 0.1", "method 'deletion' requires an integer block length, got None"),
+    ("--n", "sweep --method deletion --pd 0.1 --n 1e400", "argument --n: expected an integer, got '1e400'"),
+    ("--n", "sweep --method deletion --pd 0.1 --n 4,3.6", "argument --n: expected an integer, got '3.6'"),
     ("--n", "sweep --method deletion --pd 0.1 --n 0,5", "block length must be >= 1, got 0"),
+    # 1, 1.5, 2, 2.5, 3 round to 1, 2, 2, 2, 3
+    ("--n", "sweep --method deletion --pd 0.1 --n 1:3:5", "argument --n: range '1:3:5' rounds two points to one"),
     ("--csv", "sweep --method deletion --pd 0.1 --n 10 --csv {missing}", "No such file or directory"),
-    ("--seed", "verify --seed -1", "seed must be >= 0, got -1"),
-    ("--mc-samples", "verify --mc-samples nan", "--mc-samples must be positive and finite, got nan"),
-    ("--mc-samples", "verify --mc-samples 0", "--mc-samples must be positive and finite, got 0.0"),
+    ("--seed", "verify --seed -1", "argument --seed: seed must be >= 0, got -1"),
+    ("--seed", "verify --seed 1.5", "argument --seed: invalid literal for int() with base 10: '1.5'"),
+    ("--mc-samples", "verify --mc-samples nan", "argument --mc-samples: must be positive and finite, got nan"),
+    ("--mc-samples", "verify --mc-samples 0", "argument --mc-samples: must be positive and finite, got 0.0"),
     ("--n-max", "optimize --method del-sub --pd 0.1 --n-max 0", "block length n_max must be >= 2, got 0"),
     ("--n-max", "optimize --method del-sub --pd 0.1 --n-max {huge}", "block length n_max must be <= 2^1000"),
-    ("--n-max", "optimize --method gallager --n-max 10", "method 'gallager' has no block length"),
-    ("--n-min", "optimize --method del-sub --pd 0.1 --n-max 5 --n-min 10", "n_max must be >= 10, got 5"),
-    # the message names the scan's first block length, not --n-min (a recorded defect): match only the bound
-    ("--n-min", "optimize --method del-sub --pd 0.1 --n-max 20 --n-min 0", ">= 1, got 0"),
+    ("--n-max", "optimize --method del-sub --pd 0.1 --n-max 5 --n-min 10", "block length n_max must be >= 10, got 5"),
+    ("--n-min", "optimize --method del-sub --pd 0.1 --n-max 20 --n-min 0", "block length n_min must be >= 1, got 0"),
+    # the insertion bound's smallest block length is 2
+    ("--n-min", "optimize --method insertion --pi 0.1 --n-max 20 --n-min 1", "block length n_min must be >= 2, got 1"),
     ("--pd", "optimize --method del-sub --n-max 20 --pd 1.5", "p_d must lie in [0, 1], got 1.5"),
     ("--pe", "optimize --method del-sub --n-max 20 --pd 0.1 --pe -0.5", "p_e must lie in [0, 1], got -0.5"),
     ("--pi", "optimize --method insertion --n-max 20 --pi 2", "p_i must lie in [0, 1], got 2.0"),
-    ("--sigma", "optimize --method del-awgn --n-max 20 --pd 0.1 --sigma -1", "sigma must be finite"),
-    ("--snr-db", "optimize --method del-awgn --n-max 20 --pd 0.1 --snr-db=-7000", "gives a sigma beyond"),
-    ("--noise-var", "optimize --method del-awgn --n-max 20 --pd 0.1 --noise-var -1", "must be nonnegative"),
+    ("--sigma", "optimize --method del-awgn --n-max 20 --pd 0.1 --sigma -1", f"{_SIGMA}, got -1.0"),
+    ("--snr-db", "optimize --method del-awgn --n-max 20 --pd 0.1 --snr-db=-7000", _SNR_OVERFLOW),
+    ("--noise-var", "optimize --method del-awgn --n-max 20 --pd 0.1 --noise-var -1", _NEGATIVE_VARIANCE),
 ]
+
+# what a value the library rejects names: the parameter that each flag sets
+_PARAMETERS = {
+    "--n": "block length",
+    "--n-max": "block length n_max",
+    "--n-min": "block length n_min",
+    "--pd": "p_d",
+    "--pe": "p_e",
+    "--pi": "p_i",
+    "--sigma": "sigma",
+    "--snr-db": "sigma",
+    "--noise-var": "sigma",
+}
 
 
 def test_every_numeric_and_path_flag_is_probed():
@@ -569,6 +592,11 @@ def test_an_out_of_domain_value_is_a_one_line_error(capsys, tmp_path, flag, argv
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
     assert message in err
+    # a value the parser rejects names its flag, one the library rejects its parameter, a --csv its path
+    if err.startswith("error: argument "):
+        assert err.startswith(f"error: argument {flag}: ")
+    else:
+        assert (argv[argv.index(flag) + 1] if flag == "--csv" else _PARAMETERS[flag]) in err
 
 
 # each command that takes a noise flag, with its other flags
@@ -592,8 +620,8 @@ def test_noise_variance_is_sigma_squared(capsys, command):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--noise-var", "-1"], "--noise-var must be nonnegative"),
-        (["--noise-var", "0.64", "--sigma", "0.8"], "pass at most one of --sigma, --snr-db, --noise-var"),
+        (["--noise-var", "-1"], "argument --noise-var: must be nonnegative, got -1.0"),
+        (["--noise-var", "0.64", "--sigma", "0.8"], "argument --sigma: not allowed with argument --noise-var"),
     ],
 )
 @pytest.mark.parametrize("command", sorted(_NOISE_COMMANDS))

@@ -2,11 +2,12 @@
 
 Every callable in the ``__all__`` of bounds, numerics, combinatorics, channels
 and oracle that takes a probability (``p``, ``p_d``, ``p_e``, ``p_i``), a
-noise scale (``sigma``), a block length (``n``) or a seed is called with those
-parameters at the edges of their domains, and every other parameter at a
-valid value; so is the one row of ``bounds._BOUNDS`` that no public callable
-names.  New surface is covered without a new test, once its other
-parameters have a value in ``VALID``.
+noise scale (``sigma``), a block length (``n``), a seed or a count
+(``samples``, ``count``) is called with those parameters at the edges of their
+domains, and every other parameter at a valid value; so are the one row of
+``bounds._BOUNDS`` that no public callable names and ``RngState.split``.  New
+surface is covered without a new test, once its other parameters have a value
+in ``VALID``.
 
 Pre-registered budget: ``MAX_EXAMPLES`` drawn points per callable, derandomized,
 and the module's run under about 10 s.
@@ -25,7 +26,7 @@ from synchan.bounds import ChannelParams
 from synchan.channels import RngState
 from synchan.oracle import OracleResourceError
 
-DOMAIN_PARAMETERS = ("p", "p_d", "p_e", "p_i", "sigma", "n", "seed")
+DOMAIN_PARAMETERS = ("p", "p_d", "p_e", "p_i", "sigma", "n", "seed", "samples", "count")
 MAX_EXAMPLES = 40
 
 # a valid value of each parameter the callables take that has no default, or one not to use; every
@@ -45,6 +46,7 @@ VALID = {
     "params": ChannelParams(p_d=0.1),
     "samples": 100_000,  # the smallest the Monte-Carlo check takes
     "seed": 0,
+    "count": 2,
 }
 
 # the ends of [0, 1] and the floats next to them, the non-finite floats, a flag, a NumPy
@@ -94,11 +96,16 @@ SURFACE = _surface()
 SURFACE["bounds.evaluate_bound('random_insertion_exact')"] = lambda p_i, n: bounds.evaluate_bound(
     "random_insertion_exact", ChannelParams(p_i=p_i), n
 )
+# the streams a seeded RngState splits into
+SURFACE["channels.RngState.split"] = lambda count: RngState(0).split(count)
 
 
 def _edges(name: str, parameter: str) -> list:
     if parameter == "seed":
         return EDGES + [-1, 2**128]  # a seed is any integer >= 0
+    if parameter in ("samples", "count"):
+        # counts beyond the minimum are not probed: the run time grows with them
+        return EDGES + [-1, 150_000.0]
     if parameter != "n":
         return EDGES
     return EDGES + [LARGE_N] + (HUGE_N if name in FLAT_IN_N else [])
